@@ -61,7 +61,7 @@ pub fn speak(label: &str, instance: u64) -> SpikeTrain {
     // Vary pitch ±15% and seed per instance.
     let pitch = 120.0 * (1.0 + 0.15 * (((instance * 7919) % 100) as f64 / 50.0 - 1.0));
     let audio = synthesize_word(16_000, pitch, &script, instance);
-    let mut cochlea = Cochlea::new(CochleaConfig::das1()).expect("valid DAS1 config");
+    let cochlea = Cochlea::new(CochleaConfig::das1()).expect("valid DAS1 config");
     cochlea.process(&audio)
 }
 

@@ -44,11 +44,11 @@ fn bench_filterbank(c: &mut Criterion) {
     let mut group = c.benchmark_group("cochlea");
     group.throughput(Throughput::Elements(audio.len() as u64));
     group.bench_function("filterbank_64ch_100ms", |b| {
-        let mut bank = FilterBank::log_spaced(16_000, 64, 100.0, 6_000.0, 5.0);
+        let bank = FilterBank::log_spaced(16_000, 64, 100.0, 6_000.0, 5.0);
         b.iter(|| bank.process(&audio));
     });
     group.bench_function("full_cochlea_100ms", |b| {
-        let mut cochlea = Cochlea::new(CochleaConfig::das1()).expect("valid");
+        let cochlea = Cochlea::new(CochleaConfig::das1()).expect("valid");
         b.iter(|| cochlea.process(&audio));
     });
     group.finish();

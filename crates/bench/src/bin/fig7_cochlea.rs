@@ -33,7 +33,7 @@ fn main() {
 
     // (a) The word through the cochlea.
     let audio = fig7_word(16_000, SEED);
-    let mut cochlea = Cochlea::new(CochleaConfig::das1()).expect("valid DAS1 config");
+    let cochlea = Cochlea::new(CochleaConfig::das1()).expect("valid DAS1 config");
     let train = cochlea.process(&audio);
     let horizon = SimTime::ZERO + audio.duration();
     println!(

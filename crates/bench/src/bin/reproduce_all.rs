@@ -90,7 +90,7 @@ fn fig6(md: &mut String) {
 fn fig7(md: &mut String) {
     println!("fig7: cochlea word...");
     let audio = aetr_cochlea::word::fig7_word(16_000, 0xF17);
-    let mut cochlea = aetr_cochlea::model::Cochlea::new(aetr_cochlea::model::CochleaConfig::das1())
+    let cochlea = aetr_cochlea::model::Cochlea::new(aetr_cochlea::model::CochleaConfig::das1())
         .expect("valid config");
     let train = cochlea.process(&audio);
     let horizon = SimTime::ZERO + audio.duration();

@@ -254,7 +254,7 @@ fn cmd_record(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
         }
         "word" => {
             use aetr_cochlea::model::{Cochlea, CochleaConfig};
-            let mut cochlea = Cochlea::new(CochleaConfig::das1())?;
+            let cochlea = Cochlea::new(CochleaConfig::das1())?;
             (
                 cochlea.process(&aetr_cochlea::word::fig7_word(16_000, seed)),
                 "cochlea word".to_owned(),

@@ -12,6 +12,10 @@ use serde::{Deserialize, Serialize};
 use crate::audio::AudioBuffer;
 
 /// One second-order band-pass section.
+///
+/// [`FilterBank`] steps these four channels at a time; this
+/// single-section form is the scalar reference the chunked bank is
+/// tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Biquad {
     b0: f64,
@@ -75,6 +79,65 @@ impl Biquad {
     }
 }
 
+/// Channels per chunk: the bank is stored and stepped four channels
+/// at a time.
+pub(crate) const LANES: usize = 4;
+
+/// One `f64` per channel of a chunk.
+pub(crate) type Lanes = [f64; LANES];
+
+/// The coefficients of four band-pass sections that share one input.
+///
+/// Lane `l` of every array is one [`Biquad`]'s coefficient. Lanes past
+/// the end of the bank have all-zero coefficients, so their output is
+/// exactly zero for finite input.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub(crate) struct BiquadChunk {
+    b0: Lanes,
+    b1: Lanes,
+    b2: Lanes,
+    a1: Lanes,
+    a2: Lanes,
+}
+
+/// Output history `(y[n−1], y[n−2])` of one [`BiquadChunk`]. The input
+/// history is the same for every channel, so the caller keeps it once.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ChunkState {
+    y1: Lanes,
+    y2: Lanes,
+}
+
+impl BiquadChunk {
+    /// Packs up to [`LANES`] sections into one chunk.
+    fn pack(sections: &[Biquad]) -> BiquadChunk {
+        let mut chunk = BiquadChunk::default();
+        for (l, f) in sections.iter().enumerate() {
+            chunk.b0[l] = f.b0;
+            chunk.b1[l] = f.b1;
+            chunk.b2[l] = f.b2;
+            chunk.a1[l] = f.a1;
+            chunk.a2[l] = f.a2;
+        }
+        chunk
+    }
+
+    /// Steps all four lanes by one sample `x`, given the two previous
+    /// input samples. Each lane evaluates exactly the expression of
+    /// [`Biquad::step`], in the same order.
+    #[inline(always)]
+    pub(crate) fn step(&self, state: &mut ChunkState, x: f64, x1: f64, x2: f64) -> Lanes {
+        let y: Lanes = std::array::from_fn(|l| {
+            self.b0[l] * x + self.b1[l] * x1 + self.b2[l] * x2
+                - self.a1[l] * state.y1[l]
+                - self.a2[l] * state.y2[l]
+        });
+        state.y2 = state.y1;
+        state.y1 = y;
+        y
+    }
+}
+
 /// A bank of log-spaced band-pass channels.
 ///
 /// # Examples
@@ -83,7 +146,7 @@ impl Biquad {
 /// use aetr_cochlea::audio::AudioBuffer;
 /// use aetr_cochlea::filterbank::FilterBank;
 ///
-/// let mut bank = FilterBank::log_spaced(16_000, 64, 100.0, 6_000.0, 4.0);
+/// let bank = FilterBank::log_spaced(16_000, 64, 100.0, 6_000.0, 4.0);
 /// let tone = AudioBuffer::tone(16_000, 1_000.0, 0.5, 0.1);
 /// let outputs = bank.process(&tone);
 /// assert_eq!(outputs.len(), 64);
@@ -92,7 +155,7 @@ impl Biquad {
 pub struct FilterBank {
     sample_rate: u32,
     centers: Vec<f64>,
-    filters: Vec<Biquad>,
+    chunks: Vec<BiquadChunk>,
 }
 
 impl FilterBank {
@@ -112,19 +175,17 @@ impl FilterBank {
     ) -> FilterBank {
         assert!(channels > 0, "need at least one channel");
         assert!(0.0 < f_lo && f_lo < f_hi, "band [{f_lo}, {f_hi}] must be positive and ordered");
-        let centers: Vec<f64> = (0..channels)
-            .map(|i| {
-                let t = if channels == 1 { 0.0 } else { i as f64 / (channels - 1) as f64 };
-                f_lo * (f_hi / f_lo).powf(t)
-            })
-            .collect();
-        let filters = centers.iter().map(|&f0| Biquad::bandpass(sample_rate, f0, q)).collect();
-        FilterBank { sample_rate, centers, filters }
+        let centers: Vec<f64> =
+            (0..channels).map(|i| log_spaced_center(i, channels, f_lo, f_hi)).collect();
+        let filters: Vec<Biquad> =
+            centers.iter().map(|&f0| Biquad::bandpass(sample_rate, f0, q)).collect();
+        let chunks = filters.chunks(LANES).map(BiquadChunk::pack).collect();
+        FilterBank { sample_rate, centers, chunks }
     }
 
     /// Number of channels.
     pub fn channels(&self) -> usize {
-        self.filters.len()
+        self.centers.len()
     }
 
     /// Centre frequency of a channel.
@@ -136,21 +197,43 @@ impl FilterBank {
         self.centers[channel]
     }
 
+    /// The sections as chunks of [`LANES`] channels: channel `ch` is
+    /// lane `ch % LANES` of chunk `ch / LANES`.
+    pub(crate) fn chunks(&self) -> &[BiquadChunk] {
+        &self.chunks
+    }
+
     /// Filters the buffer through every channel, returning one output
-    /// vector per channel. Filter state is reset first so calls are
+    /// vector per channel. Every call starts from rest, so calls are
     /// independent.
     ///
     /// # Panics
     ///
     /// Panics on a sample-rate mismatch with the bank design.
-    pub fn process(&mut self, audio: &AudioBuffer) -> Vec<Vec<f64>> {
+    pub fn process(&self, audio: &AudioBuffer) -> Vec<Vec<f64>> {
         assert_eq!(audio.sample_rate(), self.sample_rate, "sample-rate mismatch");
-        self.filters.iter_mut().for_each(Biquad::reset);
-        self.filters
-            .iter_mut()
-            .map(|f| audio.samples().iter().map(|&x| f.step(x)).collect())
-            .collect()
+        let mut outputs: Vec<Vec<f64>> =
+            (0..self.channels()).map(|_| Vec::with_capacity(audio.len())).collect();
+        for (chunk, bands) in self.chunks.iter().zip(outputs.chunks_mut(LANES)) {
+            let mut state = ChunkState::default();
+            let (mut x1, mut x2) = (0.0, 0.0);
+            for &x in audio.samples() {
+                let y = chunk.step(&mut state, x, x1, x2);
+                (x2, x1) = (x1, x);
+                for (band, y) in bands.iter_mut().zip(y) {
+                    band.push(y);
+                }
+            }
+        }
+        outputs
     }
+}
+
+/// Centre frequency of channel `i` of `channels` log-spaced over
+/// `[f_lo, f_hi]`.
+pub(crate) fn log_spaced_center(i: usize, channels: usize, f_lo: f64, f_hi: f64) -> f64 {
+    let t = if channels == 1 { 0.0 } else { i as f64 / (channels - 1) as f64 };
+    f_lo * (f_hi / f_lo).powf(t)
 }
 
 #[cfg(test)]
@@ -173,7 +256,7 @@ mod tests {
 
     #[test]
     fn tone_excites_matching_channel_most() {
-        let mut bank = FilterBank::log_spaced(16_000, 32, 100.0, 6_000.0, 6.0);
+        let bank = FilterBank::log_spaced(16_000, 32, 100.0, 6_000.0, 6.0);
         let tone = AudioBuffer::tone(16_000, 1_000.0, 0.5, 0.2);
         let outputs = bank.process(&tone);
         let rms: Vec<f64> = outputs.iter().map(|o| band_rms(o)).collect();
@@ -192,7 +275,7 @@ mod tests {
 
     #[test]
     fn selectivity_rejects_distant_bands() {
-        let mut bank = FilterBank::log_spaced(16_000, 32, 100.0, 6_000.0, 6.0);
+        let bank = FilterBank::log_spaced(16_000, 32, 100.0, 6_000.0, 6.0);
         let tone = AudioBuffer::tone(16_000, 1_000.0, 0.5, 0.2);
         let outputs = bank.process(&tone);
         let rms: Vec<f64> = outputs.iter().map(|o| band_rms(o)).collect();
@@ -208,7 +291,7 @@ mod tests {
 
     #[test]
     fn filter_is_stable_on_noise() {
-        let mut bank = FilterBank::log_spaced(16_000, 8, 200.0, 4_000.0, 4.0);
+        let bank = FilterBank::log_spaced(16_000, 8, 200.0, 4_000.0, 4.0);
         let noise = AudioBuffer::white_noise(16_000, 1.0, 0.5, 3);
         let outputs = bank.process(&noise);
         for out in &outputs {
@@ -218,11 +301,28 @@ mod tests {
 
     #[test]
     fn process_resets_state_between_calls() {
-        let mut bank = FilterBank::log_spaced(16_000, 4, 200.0, 2_000.0, 4.0);
+        let bank = FilterBank::log_spaced(16_000, 4, 200.0, 2_000.0, 4.0);
         let tone = AudioBuffer::tone(16_000, 500.0, 0.5, 0.05);
         let a = bank.process(&tone);
         let b = bank.process(&tone);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn chunked_bank_matches_scalar_sections_bit_for_bit() {
+        let noise = AudioBuffer::white_noise(16_000, 0.8, 0.05, 11);
+        for channels in [1, 3, 4, 7, 64] {
+            let bank = FilterBank::log_spaced(16_000, channels, 150.0, 5_000.0, 4.0);
+            let outputs = bank.process(&noise);
+            assert_eq!(outputs.len(), channels);
+            for (ch, out) in outputs.iter().enumerate() {
+                let mut f = Biquad::bandpass(16_000, bank.center_frequency(ch), 4.0);
+                let reference: Vec<u64> =
+                    noise.samples().iter().map(|&x| f.step(x).to_bits()).collect();
+                let got: Vec<u64> = out.iter().map(|y| y.to_bits()).collect();
+                assert_eq!(got, reference, "channel {ch} of {channels}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! use aetr_cochlea::word::fig7_word;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut cochlea = Cochlea::new(CochleaConfig::das1())?;
+//! let cochlea = Cochlea::new(CochleaConfig::das1())?;
 //! let spikes = cochlea.process(&fig7_word(16_000, 42));
 //! assert!(spikes.len() > 100);
 //! # Ok(())

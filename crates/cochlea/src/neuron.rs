@@ -34,6 +34,10 @@ impl Default for NeuronConfig {
 
 /// Leaky integrate-and-fire neuron driven by a sampled band signal.
 ///
+/// [`Cochlea`](crate::model::Cochlea) evaluates this step four
+/// channels at a time in its fused kernel; this single-neuron form is
+/// the scalar reference that kernel is tested against.
+///
 /// # Examples
 ///
 /// ```

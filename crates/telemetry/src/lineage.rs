@@ -43,6 +43,7 @@ use serde::{Deserialize, Serialize};
 use aetr_sim::time::{SimDuration, SimTime};
 
 use crate::json::Json;
+use crate::spare;
 
 /// Why an event never reached the I2S stream (or `Delivered` if it
 /// did / still can).
@@ -318,14 +319,8 @@ impl EventLineage {
 }
 
 thread_local! {
-    // One retired backing buffer, recycled between logs on the same
-    // thread. A dense run's record storage is hundreds of kilobytes —
-    // past glibc's mmap/trim thresholds — so iterated instrumented
-    // runs (bench loops, fault campaigns, parameter sweeps) that free
-    // and reallocate it every run spend more wall-clock re-faulting
-    // those pages than recording the events. Recycling the largest
-    // retired buffer keeps the pages warm; at most one buffer is held
-    // per thread, for the thread's lifetime.
+    // The log's retired backing buffer; see `crate::spare`. A dense
+    // run's record storage is hundreds of kilobytes.
     static SPARE_RECORDS: Cell<Vec<EventLineage>> = const { Cell::new(Vec::new()) };
 }
 
@@ -350,11 +345,7 @@ impl LineageLog {
     /// recycled buffer first (see `SPARE_RECORDS`); together these two
     /// are what keep recording inside the bench's 10% overhead gate.
     pub fn reserve(&mut self, n: usize) {
-        if self.records.capacity() == 0 {
-            let mut spare = SPARE_RECORDS.take();
-            spare.clear();
-            self.records = spare;
-        }
+        spare::adopt(&mut self.records, &SPARE_RECORDS);
         self.records.reserve(n);
     }
 
@@ -441,13 +432,7 @@ impl Drop for LineageLog {
     /// buffer wins) so the next instrumented run on this thread starts
     /// with warm pages instead of a fresh page-faulting allocation.
     fn drop(&mut self) {
-        let mine = std::mem::take(&mut self.records);
-        // `try_with`: during thread teardown the TLS slot may already
-        // be gone — then the buffer is simply freed as usual.
-        let _ = SPARE_RECORDS.try_with(|spare| {
-            let kept = spare.take();
-            spare.set(if mine.capacity() > kept.capacity() { mine } else { kept });
-        });
+        spare::retire(&mut self.records, &SPARE_RECORDS);
     }
 }
 

@@ -11,10 +11,13 @@
 //! checks that sleep + divided + full-rate residency covers the whole
 //! simulation horizon.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use aetr_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+use crate::spare;
 
 /// What kind of activity a span describes.
 ///
@@ -84,6 +87,13 @@ impl Span {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenSpan(usize);
 
+thread_local! {
+    // The log's retired buffers (completed spans, open spans); see
+    // `crate::spare`. A speech utterance logs tens of thousands of spans.
+    static SPARE_SPANS: Cell<Vec<Span>> = const { Cell::new(Vec::new()) };
+    static SPARE_OPEN: Cell<Vec<Span>> = const { Cell::new(Vec::new()) };
+}
+
 /// Append-only span log.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SpanLog {
@@ -99,6 +109,7 @@ impl SpanLog {
 
     /// Opens a span at `start`; close it with [`SpanLog::close`].
     pub fn open(&mut self, kind: SpanKind, name: &'static str, start: SimTime) -> OpenSpan {
+        spare::adopt(&mut self.open, &SPARE_OPEN);
         self.open.push(Span { kind, name, start, end: start, arg: None });
         OpenSpan(self.open.len() - 1)
     }
@@ -123,6 +134,7 @@ impl SpanLog {
         done.end = end;
         done.arg = arg.or(done.arg);
         span.name = CLOSED;
+        spare::adopt(&mut self.spans, &SPARE_SPANS);
         self.spans.push(done);
     }
 
@@ -140,6 +152,7 @@ impl SpanLog {
         arg: Option<u64>,
     ) {
         assert!(start <= end, "span cannot end before it starts");
+        spare::adopt(&mut self.spans, &SPARE_SPANS);
         self.spans.push(Span { kind, name, start, end, arg });
     }
 
@@ -256,6 +269,15 @@ impl SpanLog {
     }
 }
 
+impl Drop for SpanLog {
+    /// Retires both backing buffers into the thread's spare slots so the
+    /// next instrumented run on this thread starts with warm pages.
+    fn drop(&mut self) {
+        spare::retire(&mut self.spans, &SPARE_SPANS);
+        spare::retire(&mut self.open, &SPARE_OPEN);
+    }
+}
+
 /// Sentinel name marking a consumed open-span slot.
 const CLOSED: &str = "\u{0}closed";
 
@@ -294,6 +316,28 @@ mod tests {
         let h = log.open(SpanKind::Wake, "wake", t(0));
         log.close(h, t(1));
         log.close(h, t(2));
+    }
+
+    #[test]
+    fn dropped_log_buffers_are_reused_empty() {
+        let mut log = SpanLog::new();
+        for i in 0..1_000 {
+            let h = log.open(SpanKind::Wake, "wake", t(i));
+            log.close(h, t(i + 1));
+            log.record(SpanKind::I2sFrame, "frame", t(i), t(i + 1), Some(i));
+        }
+        let (spans, open) = (log.spans.as_ptr(), log.open.as_ptr());
+        drop(log);
+        let mut next = SpanLog::new();
+        let h = next.open(SpanKind::Wake, "wake", t(3));
+        next.record(SpanKind::ClockState, "sleep", t(0), t(2), None);
+        next.close(h, t(4));
+        assert_eq!((next.spans.as_ptr(), next.open.as_ptr()), (spans, open));
+        assert_eq!(next.len(), 2);
+        assert_eq!(next.spans()[0].name, "sleep");
+        assert_eq!(next.spans()[1].start, t(3));
+        // A clone owns fresh storage and equals the original.
+        assert_eq!(next.clone(), next);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use aetr_sim::time::SimTime;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The sensor: a DAS1-like cochlea listening to a synthetic word.
     let audio = fig7_word(16_000, 7);
-    let mut cochlea = Cochlea::new(CochleaConfig::das1())?;
+    let cochlea = Cochlea::new(CochleaConfig::das1())?;
     let spikes = cochlea.process(&audio);
     println!(
         "cochlea: {} of audio -> {} spikes (peak channel activity during syllables)",

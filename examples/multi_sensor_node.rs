@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut audio = AudioBuffer::silence(16_000, 0.15);
     audio.append(&AudioBuffer::tone(16_000, 900.0, 0.8, 0.1).faded(0.01));
     audio.append(&AudioBuffer::silence(16_000, 0.25));
-    let mut cochlea = Cochlea::new(CochleaConfig::das1())?;
+    let cochlea = Cochlea::new(CochleaConfig::das1())?;
     let audio_spikes = cochlea.process(&audio);
 
     // Vision channel: a flickering status LED all along, motion at 300 ms.

@@ -24,7 +24,7 @@ const SPEED_OF_SOUND: f64 = 343.0;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clock = ClockGenConfig::prototype();
     let itd_cfg = ItdConfig::default_window();
-    let mut cochlea = Cochlea::new(CochleaConfig::das1())?;
+    let cochlea = Cochlea::new(CochleaConfig::das1())?;
 
     println!("source -> true ITD -> estimated ITD -> azimuth (through the AETR interface)\n");
     for &true_azimuth_deg in &[-60.0f64, -20.0, 0.0, 30.0, 75.0] {

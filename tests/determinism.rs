@@ -41,8 +41,8 @@ fn generators_are_deterministic() {
 #[test]
 fn sensors_are_deterministic() {
     let word = fig7_word(16_000, 9);
-    let mut c1 = Cochlea::new(CochleaConfig::das1()).unwrap();
-    let mut c2 = Cochlea::new(CochleaConfig::das1()).unwrap();
+    let c1 = Cochlea::new(CochleaConfig::das1()).unwrap();
+    let c2 = Cochlea::new(CochleaConfig::das1()).unwrap();
     assert_eq!(c1.process(&word), c2.process(&word));
 
     let dvs = DvsSensor::new(DvsConfig::aer10bit()).unwrap();

@@ -35,7 +35,7 @@ fn poisson_stream_survives_the_full_chain() {
 
 #[test]
 fn cochlea_word_reaches_the_mcu_in_order() {
-    let mut cochlea = Cochlea::new(CochleaConfig::das1()).expect("valid config");
+    let cochlea = Cochlea::new(CochleaConfig::das1()).expect("valid config");
     let train = cochlea.process(&fig7_word(16_000, 3));
     let horizon = SimTime::ZERO + SimDuration::from_ms(800);
     let addrs_sent: Vec<u16> = train.iter().map(|s| s.addr.value()).collect();
@@ -138,7 +138,7 @@ fn aedat_recording_replays_identically() {
     // Record a cochlea stream to AEDAT, replay it through the
     // quantizer: byte-identical timestamps (at the format's µs
     // granularity) must produce identical AETR events.
-    let mut cochlea = Cochlea::new(CochleaConfig::das1()).expect("valid config");
+    let cochlea = Cochlea::new(CochleaConfig::das1()).expect("valid config");
     let train = cochlea.process(&fig7_word(16_000, 5));
     let mut file = Vec::new();
     aetr_aer::aedat::write_aedat(&train, &["fig7 word"], &mut file).expect("in-memory write");
