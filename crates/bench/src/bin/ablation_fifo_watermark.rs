@@ -7,11 +7,12 @@
 //! wake-ups downstream) at the cost of buffering latency.
 
 use aetr::fifo::FifoConfig;
-use aetr::interface::{AerToI2sInterface, InterfaceConfig};
+use aetr::interface::{AerToI2sInterface, InterfaceConfig, TelemetryConfig};
 use aetr::latency::LatencyReport;
 use aetr_aer::generator::{LfsrGenerator, SpikeSource};
 use aetr_analysis::table::Table;
 use aetr_bench::{banner, write_result};
+use aetr_faults::FaultPlan;
 use aetr_sim::time::SimTime;
 
 const SEED: u32 = 0xAB4;
@@ -32,14 +33,18 @@ fn main() {
         "mean buffering",
         "p99 end-to-end",
     ]);
+    // Lineage only: the latency columns read each event's own record.
+    let lineage = TelemetryConfig { enabled: true, sample_cadence: None, lineage: true };
     for watermark in [1usize, 16, 64, 256, 1_024, 2_304] {
         let config = InterfaceConfig {
             fifo: FifoConfig { watermark, ..FifoConfig::prototype() },
             ..InterfaceConfig::prototype()
         };
         let interface = AerToI2sInterface::new(config).expect("valid config");
-        let report = interface.run(&train, horizon);
-        let latency = LatencyReport::from_report(&report, &config.i2s).expect("non-empty run");
+        let report =
+            interface.run_with_telemetry(&train, horizon, &FaultPlan::nominal(0), &lineage);
+        let latency =
+            LatencyReport::from_lineage(report.telemetry.lineage.records()).expect("non-empty run");
         let bursts = report.fifo_stats.watermark_crossings.max(1);
         table.row(vec![
             watermark.to_string(),

@@ -133,6 +133,25 @@ fn engine_arg(args: &ParsedArgs) -> Result<aetr::interface::SimEngine, Box<dyn E
     }
 }
 
+/// Stimulus event rate: `--rate <evt/s>`, required when `default` is
+/// `None`. The generators panic on a rate that is not positive and
+/// finite, so every command reads it through here.
+fn rate_arg(args: &ParsedArgs, default: Option<f64>) -> Result<f64, Box<dyn Error>> {
+    let rate: f64 = match default {
+        Some(default) => args.get_or("rate", default, "number")?,
+        None => args.require("rate", "number")?,
+    };
+    if rate.is_finite() && rate > 0.0 {
+        Ok(rate)
+    } else {
+        Err(Box::new(ArgsError::InvalidValue {
+            flag: "rate".into(),
+            value: args.get_str("rate").unwrap_or_default().into(),
+            expected: "event rate (positive, finite evt/s)",
+        }))
+    }
+}
+
 /// Worker-thread count for sweep commands: `--jobs N`, where `0` means
 /// "all available cores". Defaults to 1 (sequential); any value yields
 /// bit-identical output, so this is purely a wall-clock knob.
@@ -174,7 +193,7 @@ fn report_for(config: &ClockGenConfig, train: &SpikeTrain, horizon: SimTime) -> 
 }
 
 fn cmd_quantize(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    let rate: f64 = args.require("rate", "number")?;
+    let rate = rate_arg(args, None)?;
     let duration_ms: u64 = args.get_or("duration-ms", 100, "integer")?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let config = clock_config(args)?;
@@ -200,10 +219,11 @@ fn cmd_quantize(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
 }
 
 fn cmd_run(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    use aetr::interface::{AerToI2sInterface, InterfaceConfig};
+    use aetr::interface::{AerToI2sInterface, InterfaceConfig, TelemetryConfig};
     use aetr::latency::LatencyReport;
+    use aetr_faults::FaultPlan;
 
-    let rate: f64 = args.require("rate", "number")?;
+    let rate = rate_arg(args, None)?;
     let duration_ms: u64 = args.get_or("duration-ms", 20, "integer")?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let clock = clock_config(args)?;
@@ -212,7 +232,10 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let train = PoissonGenerator::new(rate, 64, seed).generate(horizon);
     let n = train.len();
     let interface = AerToI2sInterface::new(config)?.with_engine(engine_arg(args)?);
-    let report = interface.run(&train, horizon);
+    // Lineage only (no sampler): the latency decomposition reads each
+    // delivered event's own record.
+    let lineage = TelemetryConfig { enabled: true, sample_cadence: None, lineage: true };
+    let report = interface.run_with_telemetry(&train, horizon, &FaultPlan::nominal(0), &lineage);
     report.handshake.verify_protocol()?;
 
     let mut text = String::new();
@@ -228,7 +251,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
         report.i2s.len(),
         report.i2s.event_count()
     );
-    if let Some(lat) = LatencyReport::from_report(&report, &config.i2s) {
+    if let Some(lat) = LatencyReport::from_lineage(report.telemetry.lineage.records()) {
         let _ = write!(text, "latency: {lat}");
     }
     Ok(text)
@@ -242,14 +265,14 @@ fn cmd_record(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let generator = args.get_str("generator").unwrap_or("poisson");
     let (train, label) = match generator {
         "poisson" => {
-            let rate: f64 = args.require("rate", "number")?;
+            let rate = rate_arg(args, None)?;
             (
                 PoissonGenerator::new(rate, 64, seed).generate(horizon),
                 format!("poisson {rate} evt/s"),
             )
         }
         "lfsr" => {
-            let rate: f64 = args.require("rate", "number")?;
+            let rate = rate_arg(args, None)?;
             (LfsrGenerator::new(rate, seed as u32).generate(horizon), format!("lfsr {rate} evt/s"))
         }
         "word" => {
@@ -328,7 +351,7 @@ fn cmd_faults(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     use aetr::interface::InterfaceConfig;
 
     let points: usize = args.get_or("points", 7, "integer")?;
-    let rate: f64 = args.get_or("rate", 50_000.0, "number")?;
+    let rate = rate_arg(args, Some(50_000.0))?;
     let duration_ms: u64 = args.get_or("duration-ms", 10, "integer")?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let lo: f64 = args.get_or("min-fault-rate", 1e-4, "number")?;
@@ -413,7 +436,7 @@ fn instrumented_run(args: &ParsedArgs) -> Result<InstrumentedRun, Box<dyn Error>
     use aetr::interface::InterfaceConfig;
     use aetr_aer::generator::BurstGenerator;
 
-    let rate: f64 = args.get_or("rate", 50_000.0, "number")?;
+    let rate = rate_arg(args, Some(50_000.0))?;
     let duration_ms: u64 = args.get_or("duration-ms", 10, "integer")?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
     let cadence_us: u64 = args.get_or("cadence-us", 100, "integer")?;
@@ -1129,6 +1152,54 @@ mod tests {
     fn invalid_policy_is_a_clean_error() {
         let err = run_line(&["quantize", "--rate", "1000", "--policy", "warp"]).unwrap_err();
         assert!(err.to_string().contains("policy"), "{err}");
+    }
+
+    /// `--rate 0|-5|nan` after `line` is a one-line error naming the
+    /// flag, not a generator panic.
+    fn assert_bad_rates_rejected(line: &[&str]) {
+        for bad in ["0", "-5", "nan"] {
+            let full: Vec<&str> = line.iter().copied().chain(["--rate", bad]).collect();
+            let err = run_line(&full).unwrap_err().to_string();
+            assert!(err.starts_with("--rate") && !err.contains('\n'), "{full:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn run_rejects_bad_rates() {
+        assert_bad_rates_rejected(&["run"]);
+    }
+
+    #[test]
+    fn quantize_rejects_bad_rates() {
+        assert_bad_rates_rejected(&["quantize"]);
+    }
+
+    #[test]
+    fn record_rejects_bad_rates() {
+        let path = std::env::temp_dir().join("aetr_cli_bad_rate.aedat");
+        let path = path.to_str().unwrap();
+        assert_bad_rates_rejected(&["record", path]);
+        assert_bad_rates_rejected(&["record", path, "--generator", "lfsr"]);
+    }
+
+    #[test]
+    fn faults_rejects_bad_rates() {
+        assert_bad_rates_rejected(&["faults"]);
+    }
+
+    #[test]
+    fn telemetry_rejects_bad_rates() {
+        assert_bad_rates_rejected(&["telemetry"]);
+    }
+
+    #[test]
+    fn lineage_rejects_bad_rates() {
+        assert_bad_rates_rejected(&["lineage"]);
+    }
+
+    #[test]
+    fn explain_rejects_bad_rates() {
+        assert_bad_rates_rejected(&["explain", "0"]);
     }
 
     #[test]

@@ -232,17 +232,17 @@ impl<T> CdcFifo<T> {
     }
 
     /// Injects a single-event upset into the write pointer *as the
-    /// read domain sees it*: bit `bit` (mod [`pointer_bits`]
-    /// (Self::pointer_bits)) of the Gray-coded pointer on the crossing
-    /// wires flips for the next read-side access, then the correct
-    /// value re-latches.
+    /// read domain sees it*: bit `bit` (mod
+    /// [`pointer_bits`](Self::pointer_bits)) of the Gray-coded pointer
+    /// on the crossing wires flips for the next read-side access, then
+    /// the correct value re-latches.
     pub fn upset_write_pointer(&mut self, bit: u32) {
         self.upset_write_ptr_bit = Some(bit % self.pointer_bits());
     }
 
     /// Injects a single-event upset into the read pointer as the
-    /// *write* domain sees it (see [`upset_write_pointer`]
-    /// (Self::upset_write_pointer)).
+    /// *write* domain sees it (see
+    /// [`upset_write_pointer`](Self::upset_write_pointer)).
     pub fn upset_read_pointer(&mut self, bit: u32) {
         self.upset_read_ptr_bit = Some(bit % self.pointer_bits());
     }

@@ -62,11 +62,6 @@ pub enum PushOutcome {
 }
 
 impl PushOutcome {
-    /// `true` when the incoming event ended up in the buffer.
-    pub fn incoming_stored(self) -> bool {
-        !matches!(self, PushOutcome::DroppedNewest)
-    }
-
     /// `true` when *some* event was lost, incoming or buffered.
     pub fn lost_an_event(self) -> bool {
         !matches!(self, PushOutcome::Stored)
@@ -357,11 +352,8 @@ mod tests {
 
     #[test]
     fn push_outcome_classifiers() {
-        assert!(PushOutcome::Stored.incoming_stored());
         assert!(!PushOutcome::Stored.lost_an_event());
-        assert!(!PushOutcome::DroppedNewest.incoming_stored());
         assert!(PushOutcome::DroppedNewest.lost_an_event());
-        assert!(PushOutcome::DroppedOldest.incoming_stored());
         assert!(PushOutcome::DroppedOldest.lost_an_event());
     }
 

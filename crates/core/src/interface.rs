@@ -22,7 +22,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use aetr_aer::handshake::{HandshakeLog, HandshakeSender, HandshakeTiming};
-use aetr_aer::spike::{Spike, SpikeTrain};
+use aetr_aer::spike::SpikeTrain;
 use aetr_clockgen::config::{ClockGenConfig, ClockGenConfigError};
 use aetr_clockgen::fsm::{CaptureContext, FsmAction, IdleBoundary, IdleSegment, SamplerFsm};
 use aetr_faults::{
@@ -38,7 +38,7 @@ use aetr_telemetry::span::{OpenSpan, SpanKind};
 pub use aetr_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 
 use crate::aetr_format::{AetrEvent, Timestamp};
-use crate::config_bus::RegisterFile;
+use crate::config_bus::{Register, RegisterFile};
 use crate::crossbar::{Crossbar, SinkPort, SourcePort};
 use crate::fifo::{AetrFifo, FifoConfig, FifoStats, PushOutcome};
 use crate::front_end::{FrontEndConfig, InputMonitor};
@@ -158,7 +158,8 @@ pub struct InterfaceReport {
     pub activity: ActivityInput,
     /// Power evaluated from the activity.
     pub power: PowerReport,
-    /// Ring-oscillator wake count.
+    /// Ring-oscillator wake count (the same value as
+    /// `activity.wake_count`).
     pub wake_count: u64,
     /// Fault and recovery counters (all-zero in a fault-free run).
     pub health: InterfaceHealthReport,
@@ -291,31 +292,8 @@ impl AerToI2sInterface {
     /// same stimulus can drive many runs (benches, campaigns, sweeps)
     /// without cloning event storage.
     pub fn run(&self, train: &SpikeTrain, horizon: SimTime) -> InterfaceReport {
-        self.run_with_telemetry(
-            train,
-            horizon,
-            &FaultPlan::nominal(0),
-            &TelemetryConfig::disabled(),
-        )
-    }
-
-    /// Like [`run`](Self::run), over a raw event slice — the
-    /// event-iterator entry point for callers that hold spikes outside
-    /// a [`SpikeTrain`] (e.g. a decoded AEDAT capture).
-    ///
-    /// `spikes` must be sorted by time, the invariant [`SpikeTrain`]
-    /// guarantees structurally; it is debug-asserted here.
-    pub fn run_events(&self, spikes: &[Spike], horizon: SimTime) -> InterfaceReport {
-        Runner::new(
-            &self.config,
-            &self.power_model,
-            spikes,
-            horizon,
-            &FaultPlan::nominal(0),
-            &TelemetryConfig::disabled(),
-            self.engine,
-        )
-        .run()
+        Runner::new(self, train, horizon, &FaultPlan::nominal(0), &TelemetryConfig::disabled(), &[])
+            .run()
     }
 
     /// Like [`run`](Self::run), with faults injected per `plan` and
@@ -336,7 +314,7 @@ impl AerToI2sInterface {
         horizon: SimTime,
         plan: &FaultPlan,
     ) -> InterfaceReport {
-        self.run_with_telemetry(train, horizon, plan, &TelemetryConfig::disabled())
+        Runner::new(self, train, horizon, plan, &TelemetryConfig::disabled(), &[]).run()
     }
 
     /// Like [`run_with_faults`](Self::run_with_faults), with telemetry
@@ -356,16 +334,7 @@ impl AerToI2sInterface {
         plan: &FaultPlan,
         telemetry: &TelemetryConfig,
     ) -> InterfaceReport {
-        Runner::new(
-            &self.config,
-            &self.power_model,
-            train.as_slice(),
-            horizon,
-            plan,
-            telemetry,
-            self.engine,
-        )
-        .run()
+        Runner::new(self, train, horizon, plan, telemetry, &[]).run()
     }
 
     /// Like [`run`](Self::run), with SPI register writes applied at
@@ -383,23 +352,17 @@ impl AerToI2sInterface {
         &self,
         train: &SpikeTrain,
         horizon: SimTime,
-        writes: &[(SimTime, crate::config_bus::Register, u32)],
+        writes: &[(SimTime, Register, u32)],
     ) -> InterfaceReport {
-        assert!(
-            writes.windows(2).all(|w| w[1].0 >= w[0].0),
-            "reconfiguration writes must be time-sorted"
-        );
-        let mut runner = Runner::new(
-            &self.config,
-            &self.power_model,
-            train.as_slice(),
+        Runner::new(
+            self,
+            train,
             horizon,
             &FaultPlan::nominal(0),
             &TelemetryConfig::disabled(),
-            self.engine,
-        );
-        runner.schedule_reconfigs(writes);
-        runner.run()
+            writes,
+        )
+        .run()
     }
 }
 
@@ -431,6 +394,38 @@ struct LineageState {
     e2e_latency: HistogramId,
 }
 
+/// Sampling-clock state after a transition, as narrated to the
+/// [`PowerMeter`] and the clock-residency spans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ClockRate {
+    /// Ticking at `T_min` (reset after a capture, or just woken).
+    FullRate,
+    /// Ticking at `multiplier · T_min`.
+    Divided(u64),
+    /// Ring oscillator stopped.
+    Off,
+}
+
+impl ClockRate {
+    /// Period multiplier over `T_min`; `None` while stopped.
+    fn multiplier(self) -> Option<u64> {
+        match self {
+            ClockRate::FullRate => Some(1),
+            ClockRate::Divided(m) => Some(m),
+            ClockRate::Off => None,
+        }
+    }
+
+    /// Residency-span name.
+    fn name(self) -> &'static str {
+        match self {
+            ClockRate::FullRate => "full-rate",
+            ClockRate::Divided(_) => "divided",
+            ClockRate::Off => "sleep",
+        }
+    }
+}
+
 /// Telemetry state of a run: the collector plus pre-registered metric
 /// handles and open-span bookkeeping.
 ///
@@ -438,25 +433,20 @@ struct LineageState {
 /// `None`, so every instrumentation site is a single pointer test and
 /// the hot path does no metric-name lookup ever — handles are resolved
 /// once here (DESIGN.md §11's "lock-free on the hot path" contract).
+/// Only what the report does not already hold is recorded per event;
+/// the rest is folded from the report at [`finish`](TelState::finish).
 struct TelState {
     tel: Telemetry,
-    // Counters (names mirror the tracer scopes).
-    events_captured: CounterId,
+    // Hot-path counters: clock transitions the report keeps no count of.
     divisions: CounterId,
-    wakes: CounterId,
     shutdowns: CounterId,
-    fifo_pushed: CounterId,
-    fifo_dropped: CounterId,
-    handshakes: CounterId,
-    i2s_frames: CounterId,
     // Gauges / histograms.
     fifo_occupancy: GaugeId,
     fifo_depth: HistogramId,
     capture_latency: HistogramId,
     // Clock-generator residency: the currently open interval.
     clock_since: SimTime,
-    clock_state: &'static str,
-    clock_arg: Option<u64>,
+    clock: ClockRate,
     // Open spans (at most one of each kind is in flight by protocol).
     handshake_open: Option<OpenSpan>,
     wake_open: Option<OpenSpan>,
@@ -477,14 +467,16 @@ impl TelState {
         }
         let mut tel = Telemetry::new(*config);
         let m = &mut tel.metrics;
-        let events_captured = m.counter("interface.events.captured");
+        // Registration order is registry order; the counters without a
+        // handle are set at `finish`.
+        m.counter("interface.events.captured");
         let divisions = m.counter("interface.clockgen.divisions");
-        let wakes = m.counter("interface.clockgen.wakes");
+        m.counter("interface.clockgen.wakes");
         let shutdowns = m.counter("interface.clockgen.shutdowns");
-        let fifo_pushed = m.counter("interface.fifo.pushed");
-        let fifo_dropped = m.counter("interface.fifo.dropped");
-        let handshakes = m.counter("interface.handshake.completed");
-        let i2s_frames = m.counter("interface.i2s.frames");
+        m.counter("interface.fifo.pushed");
+        m.counter("interface.fifo.dropped");
+        m.counter("interface.handshake.completed");
+        m.counter("interface.i2s.frames");
         let fifo_occupancy = m.gauge("interface.fifo.occupancy");
         // Depth buckets up to the prototype's 2304-event capacity.
         let fifo_depth =
@@ -512,20 +504,13 @@ impl TelState {
         let next_sample = tel.sample_cadence().map(|c| SimTime::ZERO + c);
         Some(Box::new(TelState {
             tel,
-            events_captured,
             divisions,
-            wakes,
             shutdowns,
-            fifo_pushed,
-            fifo_dropped,
-            handshakes,
-            i2s_frames,
             fifo_occupancy,
             fifo_depth,
             capture_latency,
             clock_since: SimTime::ZERO,
-            clock_state: "full-rate",
-            clock_arg: Some(1),
+            clock: ClockRate::FullRate,
             handshake_open: None,
             wake_open: None,
             ack_recovery_open: None,
@@ -535,22 +520,32 @@ impl TelState {
         }))
     }
 
-    /// Closes the current clock-residency interval at `t` and opens a
-    /// new one, unless the state is unchanged.
-    fn clock_transition(&mut self, t: SimTime, state: &'static str, arg: Option<u64>) {
-        if self.clock_state == state && self.clock_arg == arg {
-            return;
+    /// Counts a division or shutdown, then closes the current
+    /// clock-residency interval at `t` and opens a new one, unless the
+    /// state is unchanged.
+    fn clock_transition(&mut self, t: SimTime, clock: ClockRate) {
+        match clock {
+            ClockRate::FullRate => {}
+            ClockRate::Divided(_) => self.tel.metrics.inc(self.divisions, 1),
+            ClockRate::Off => self.tel.metrics.inc(self.shutdowns, 1),
         }
+        if self.clock != clock {
+            self.close_residency(t);
+            self.clock_since = t;
+            self.clock = clock;
+        }
+    }
+
+    /// Records the open clock-residency interval as ending at `end`.
+    fn close_residency(&mut self, end: SimTime) {
+        let clock = self.clock;
         self.tel.spans.record(
             SpanKind::ClockState,
-            self.clock_state,
+            clock.name(),
             self.clock_since,
-            t,
-            self.clock_arg,
+            end,
+            clock.multiplier(),
         );
-        self.clock_since = t;
-        self.clock_state = state;
-        self.clock_arg = arg;
     }
 
     /// Lineage: attributes one transmitted frame's `pair` events to
@@ -573,29 +568,38 @@ impl TelState {
     }
 
     /// Finalises the collector: closes the last residency interval at
-    /// `end`, folds the health counters into the registry under their
-    /// shared `interface.health.*` names, and snapshots.
+    /// `end`, sets the counters the report already holds, folds the
+    /// health counters into the registry under their shared
+    /// `interface.health.*` names, and snapshots. `fifo_depth` is the
+    /// buffer's final occupancy.
     fn finish(
         mut self,
         end: SimTime,
-        health: &InterfaceHealthReport,
+        report: &InterfaceReport,
+        fifo_depth: usize,
         queue_ops: u64,
     ) -> TelemetrySnapshot {
-        self.tel.spans.record(
-            SpanKind::ClockState,
-            self.clock_state,
-            self.clock_since,
-            end,
-            self.clock_arg,
-        );
-        for (name, value) in health.metrics() {
+        self.close_residency(end);
+        let sim_events = report.events.len() as u64;
+        let folded = [
+            ("interface.events.captured", sim_events),
+            ("interface.clockgen.wakes", report.activity.wake_count),
+            ("interface.fifo.pushed", report.fifo_stats.pushed),
+            ("interface.fifo.dropped", report.fifo_stats.dropped),
+            ("interface.handshake.completed", report.handshake.len() as u64),
+            // Slipped frames were sent, then dropped from the stream.
+            ("interface.i2s.frames", report.i2s.len() as u64 + report.health.frame_slips),
+        ];
+        for (name, value) in folded.into_iter().chain(report.health.metrics()) {
             let id = self.tel.metrics.counter(name);
             self.tel.metrics.inc(id, value);
+        }
+        if sim_events > 0 {
+            self.tel.metrics.set_gauge(self.fifo_occupancy, fifo_depth as f64);
         }
         if let Some(ls) = self.lineage.take() {
             self.tel.lineage = ls.log;
         }
-        let sim_events = self.tel.metrics.counter_value(self.events_captured);
         self.tel.into_snapshot(sim_events, queue_ops)
     }
 }
@@ -625,10 +629,9 @@ struct Runner<'a> {
     current_request: Option<SimTime>,
     /// Scheduled SPI register writes (time-indexed by `Ev::SpiWrite`);
     /// borrowed from the caller — the hot path never copies them.
-    reconfigs: &'a [(SimTime, crate::config_bus::Register, u32)],
+    reconfigs: &'a [(SimTime, Register, u32)],
     /// A drain is in progress (frames chained by `FrameDone`).
     draining: bool,
-    wake_count: u64,
 
     /// Tick-chain engine (per-tick reference vs analytic fast-forward).
     engine: SimEngine,
@@ -654,20 +657,34 @@ struct Runner<'a> {
 }
 
 impl<'a> Runner<'a> {
+    /// The one constructor behind every public entry point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reconfigs` is not time-sorted.
     fn new(
-        cfg: &'a InterfaceConfig,
-        power_model: &'a PowerModel,
-        spikes: &'a [Spike],
+        iface: &'a AerToI2sInterface,
+        train: &'a SpikeTrain,
         horizon: SimTime,
         plan: &FaultPlan,
         telemetry: &TelemetryConfig,
-        engine: SimEngine,
+        reconfigs: &'a [(SimTime, Register, u32)],
     ) -> Runner<'a> {
-        let mut meter = PowerMeter::new(SimTime::ZERO);
-        meter.clock_multiplier(SimTime::ZERO, 1);
-        Runner {
+        assert!(
+            reconfigs.windows(2).all(|w| w[1].0 >= w[0].0),
+            "reconfiguration writes must be time-sorted"
+        );
+        let cfg = &iface.config;
+        let spikes = train.as_slice();
+        let mut tel = TelState::new(telemetry);
+        if let Some(ls) = tel.as_deref_mut().and_then(|ts| ts.lineage.as_mut()) {
+            // One record per captured spike; reserving up front avoids
+            // re-copying the wide records on Vec growth.
+            ls.log.reserve(spikes.len());
+        }
+        let mut runner = Runner {
             cfg,
-            power_model,
+            power_model: &iface.power_model,
             horizon,
             base: cfg.clock.base_sampling_period(),
             // A handful of events are ever concurrently pending (tick,
@@ -680,7 +697,7 @@ impl<'a> Runner<'a> {
             fifo: AetrFifo::new(cfg.fifo),
             crossbar: Crossbar::prototype().expect("fixed routes cannot conflict"),
             i2s: I2sTransmitter::new(cfg.i2s),
-            meter,
+            meter: PowerMeter::new(SimTime::ZERO),
             regs: RegisterFile::from_config(&cfg.clock, cfg.fifo.watermark as u32),
             // Every spike yields exactly one captured event and (in a
             // fault-free run) one logged handshake; pre-size both so
@@ -689,30 +706,27 @@ impl<'a> Runner<'a> {
             events: Vec::with_capacity(spikes.len()),
             wake_frozen: None,
             current_request: None,
-            reconfigs: &[],
+            reconfigs,
             draining: false,
-            wake_count: 0,
-            engine,
+            engine: iface.engine,
             idle_segments: Vec::new(),
             injector: FaultInjector::new(plan),
             watchdog: plan.watchdog,
             health: HealthMonitor::new(),
             pending_ack: None,
             degraded: false,
-            tel: {
-                let mut tel = TelState::new(telemetry);
-                if let Some(ls) = tel.as_deref_mut().and_then(|ts| ts.lineage.as_mut()) {
-                    // One record per captured spike; reserving up front
-                    // avoids re-copying the wide records on Vec growth.
-                    ls.log.reserve(spikes.len());
-                }
-                tel
-            },
-        }
+            tel,
+        };
+        runner.clock_transition(SimTime::ZERO, ClockRate::FullRate);
+        runner
     }
 
     fn run(mut self) -> InterfaceReport {
-        // Prime the pump: first clock tick and first request.
+        // Prime the pump: host writes first (so they win ties), then
+        // the first clock tick and the first request.
+        for (i, &(t, _, _)) in self.reconfigs.iter().enumerate() {
+            self.queue.schedule_at(t, Ev::SpiWrite(i)).expect("fresh queue, sorted writes");
+        }
         self.queue
             .schedule_at(SimTime::ZERO + self.base, Ev::Tick)
             .expect("fresh queue accepts the first tick");
@@ -730,7 +744,7 @@ impl<'a> Runner<'a> {
                 Ev::Tick => self.on_tick(t),
                 Ev::WakeDone => self.on_wake_done(t),
                 Ev::FrameDone => self.drain_step(t),
-                Ev::SpiWrite(index) => self.on_spi_write(t, index),
+                Ev::SpiWrite(index) => self.on_spi_write(index),
                 Ev::AckRetry(attempt) => self.on_ack_retry(t, attempt),
                 Ev::WakeCheck(attempt) => self.on_wake_check(t, attempt),
             }
@@ -751,38 +765,41 @@ impl<'a> Runner<'a> {
         // complete stream (the hardware would keep draining too).
         let mut t = self.queue.now().max(self.i2s.busy_until());
         while !self.fifo.is_empty() {
-            let start = t;
-            let first = self.fifo.pop().expect("checked non-empty");
-            let second = self.fifo.pop();
-            let pair = 1 + u64::from(second.is_some());
-            t = self.i2s.send_pair(t, first, second).expect("sequential drain cannot overlap");
-            let slipped = self.maybe_slip_frame();
-            if let Some(ts) = self.tel.as_deref_mut() {
-                ts.tel.metrics.inc(ts.i2s_frames, 1);
-                ts.tel.spans.record(SpanKind::I2sFrame, "frame", start, t, Some(pair));
-                ts.tel.metrics.set_gauge(ts.fifo_occupancy, self.fifo.len() as f64);
-                ts.record_transmission(pair, start, t, slipped);
-            }
+            t = self.send_frame(t);
         }
 
         let end = self.horizon.max(self.queue.now()).max(t);
         let activity = self.meter.finish(end);
         let power = self.power_model.evaluate(&activity);
-        let health = self.health.report();
-        let telemetry = match self.tel.take() {
-            Some(ts) => ts.finish(end, &health, self.queue.ops()),
-            None => TelemetrySnapshot::empty(),
-        };
-        InterfaceReport {
+        let tel = self.tel.take();
+        let queue_ops = self.queue.ops();
+        let mut report = InterfaceReport {
             events: self.events,
             handshake: self.log,
             fifo_stats: *self.fifo.stats(),
             i2s: self.i2s.into_stream(),
+            wake_count: activity.wake_count,
             activity,
             power,
-            wake_count: self.wake_count,
-            health,
-            telemetry,
+            health: self.health.report(),
+            telemetry: TelemetrySnapshot::empty(),
+        };
+        if let Some(ts) = tel {
+            report.telemetry = ts.finish(end, &report, self.fifo.len(), queue_ops);
+        }
+        report
+    }
+
+    /// Moves the sampling clock to `clock` at `t`: the only place the
+    /// [`PowerMeter`] and the clock telemetry hear of a transition. The
+    /// meter is notified even when the state is unchanged.
+    fn clock_transition(&mut self, t: SimTime, clock: ClockRate) {
+        match clock.multiplier() {
+            Some(multiplier) => self.meter.clock_multiplier(t, multiplier),
+            None => self.meter.clock_off(t),
+        }
+        if let Some(ts) = self.tel.as_deref_mut() {
+            ts.clock_transition(t, clock);
         }
     }
 
@@ -823,14 +840,7 @@ impl<'a> Runner<'a> {
         ts.next_sample = Some(due);
     }
 
-    fn schedule_reconfigs(&mut self, writes: &'a [(SimTime, crate::config_bus::Register, u32)]) {
-        self.reconfigs = writes;
-        for (i, &(t, _, _)) in writes.iter().enumerate() {
-            self.queue.schedule_at(t, Ev::SpiWrite(i)).expect("fresh queue, sorted writes");
-        }
-    }
-
-    fn on_spi_write(&mut self, t: SimTime, index: usize) {
+    fn on_spi_write(&mut self, index: usize) {
         let (_, register, value) = self.reconfigs[index];
         if self.regs.write(register, value).is_ok() {
             let new_clock = self.regs.apply_to(&self.cfg.clock);
@@ -842,11 +852,10 @@ impl<'a> Runner<'a> {
                 new_clock
             };
             if new_clock.validate().is_ok() {
-                self.fsm.reconfigure(&new_clock);
                 // If the FSM is awake, the current tick chain continues
                 // with the new parameters from its next edge; if it is
                 // asleep, the next wake re-enters at T_min as before.
-                let _ = t;
+                self.fsm.reconfigure(&new_clock);
             }
         }
     }
@@ -862,10 +871,8 @@ impl<'a> Runner<'a> {
     /// is armed instead).
     fn schedule_wake(&mut self, t: SimTime) {
         self.meter.wake();
-        self.wake_count += 1;
         self.wake_frozen = Some(self.fsm.counter());
         if let Some(ts) = self.tel.as_deref_mut() {
-            ts.tel.metrics.inc(ts.wakes, 1);
             ts.wake_open = Some(ts.tel.spans.open(SpanKind::Wake, "wake", t));
             if let Some(ls) = ts.lineage.as_mut() {
                 ls.wake_started = Some(t);
@@ -907,9 +914,8 @@ impl<'a> Runner<'a> {
     }
 
     fn on_wake_done(&mut self, t: SimTime) {
-        self.meter.clock_multiplier(t, 1);
+        self.clock_transition(t, ClockRate::FullRate);
         if let Some(ts) = self.tel.as_deref_mut() {
-            ts.clock_transition(t, "full-rate", Some(1));
             if let Some(h) = ts.wake_open.take() {
                 ts.tel.spans.close(h, t);
             }
@@ -980,19 +986,11 @@ impl<'a> Runner<'a> {
                 }
                 IdleBoundary::Divided { multiplier } => {
                     self.emit_samples(seg.last_tick, Some(seg.multiplier));
-                    self.meter.clock_multiplier(seg.last_tick, multiplier);
-                    if let Some(ts) = self.tel.as_deref_mut() {
-                        ts.tel.metrics.inc(ts.divisions, 1);
-                        ts.clock_transition(seg.last_tick, "divided", Some(multiplier));
-                    }
+                    self.clock_transition(seg.last_tick, ClockRate::Divided(multiplier));
                 }
                 IdleBoundary::ShutDown => {
                     self.emit_samples(seg.last_tick, Some(seg.multiplier));
-                    self.meter.clock_off(seg.last_tick);
-                    if let Some(ts) = self.tel.as_deref_mut() {
-                        ts.tel.metrics.inc(ts.shutdowns, 1);
-                        ts.clock_transition(seg.last_tick, "sleep", None);
-                    }
+                    self.clock_transition(seg.last_tick, ClockRate::Off);
                     // Per-tick stepping would have popped this shutdown
                     // tick, leaving the clock there; the end-of-run
                     // bookkeeping (FIFO drain start, power horizon)
@@ -1021,11 +1019,7 @@ impl<'a> Runner<'a> {
                 FaultKind::StuckOscillator => {
                     self.health.oscillator_stall();
                     self.fsm.force_shutdown();
-                    self.meter.clock_off(t);
-                    if let Some(ts) = self.tel.as_deref_mut() {
-                        ts.tel.metrics.inc(ts.shutdowns, 1);
-                        ts.clock_transition(t, "sleep", None);
-                    }
+                    self.clock_transition(t, ClockRate::Off);
                     // A latched REQ holds the wake input, so recovery
                     // starts immediately — unless an unresolved ACK is
                     // keeping REQ high, in which case the next fresh
@@ -1056,25 +1050,14 @@ impl<'a> Runner<'a> {
                 let frozen = self.wake_frozen.take();
                 let woke = frozen.is_some();
                 let ticks = frozen.unwrap_or(timestamp_ticks);
-                self.meter.clock_multiplier(t, 1); // reset to T_min
-                if let Some(ts) = self.tel.as_deref_mut() {
-                    ts.clock_transition(t, "full-rate", Some(1));
-                }
+                self.clock_transition(t, ClockRate::FullRate); // reset to T_min
                 self.capture_event(t, ticks, woke, ctx);
             }
             FsmAction::Divided { multiplier } => {
-                self.meter.clock_multiplier(t, multiplier);
-                if let Some(ts) = self.tel.as_deref_mut() {
-                    ts.tel.metrics.inc(ts.divisions, 1);
-                    ts.clock_transition(t, "divided", Some(multiplier));
-                }
+                self.clock_transition(t, ClockRate::Divided(multiplier));
             }
             FsmAction::ShutDown => {
-                self.meter.clock_off(t);
-                if let Some(ts) = self.tel.as_deref_mut() {
-                    ts.tel.metrics.inc(ts.shutdowns, 1);
-                    ts.clock_transition(t, "sleep", None);
-                }
+                self.clock_transition(t, ClockRate::Off);
                 // If REQ is already high (request still crossing the
                 // synchroniser), it holds the ring oscillator's wake
                 // input: the clock restarts immediately, and the event
@@ -1117,7 +1100,6 @@ impl<'a> Runner<'a> {
         // Capture index of this event's lineage record, if one exists.
         let mut lineage_idx = None;
         if let Some(ts) = self.tel.as_deref_mut() {
-            ts.tel.metrics.inc(ts.events_captured, 1);
             let latency_ns = t.saturating_duration_since(request).as_ns() as f64;
             ts.tel.metrics.observe(ts.capture_latency, latency_ns);
             if let Some(ls) = ts.lineage.as_mut() {
@@ -1175,18 +1157,7 @@ impl<'a> Runner<'a> {
             }
             let degraded = self.degraded;
             if let Some(ts) = self.tel.as_deref_mut() {
-                // Mirror `FifoStats` semantics exactly: `pushed` counts
-                // stored events, `dropped` counts losses of either
-                // overflow flavour.
-                if outcome.incoming_stored() {
-                    ts.tel.metrics.inc(ts.fifo_pushed, 1);
-                }
-                if outcome.lost_an_event() {
-                    ts.tel.metrics.inc(ts.fifo_dropped, 1);
-                }
-                let depth = self.fifo.len() as f64;
-                ts.tel.metrics.set_gauge(ts.fifo_occupancy, depth);
-                ts.tel.metrics.observe(ts.fifo_depth, depth);
+                ts.tel.metrics.observe(ts.fifo_depth, self.fifo.len() as f64);
                 if let (Some(ls), Some(idx)) = (ts.lineage.as_mut(), lineage_idx) {
                     match outcome {
                         PushOutcome::Stored => {
@@ -1277,7 +1248,6 @@ impl<'a> Runner<'a> {
         }
         self.log.push(txn);
         if let Some(ts) = self.tel.as_deref_mut() {
-            ts.tel.metrics.inc(ts.handshakes, 1);
             if let Some(h) = ts.handshake_open.take() {
                 ts.tel.spans.close(h, ack_fall);
             }
@@ -1400,42 +1370,42 @@ impl<'a> Runner<'a> {
         self.fsm.reconfigure(&self.cfg.clock.degraded_fallback(self.watchdog.degraded_n_div_clamp));
     }
 
-    /// Applies an injected receiver-side frame slip to the most recent
-    /// I2S frame; `true` when a frame was actually dropped (the lineage
-    /// layer marks its events lost instead of delivered).
-    fn maybe_slip_frame(&mut self) -> bool {
-        if self.injector.slip_frame() {
-            if let Some(frame) = self.i2s.drop_last_frame() {
-                self.health.frame_slip(frame.events().count() as u64);
-                return true;
-            }
-        }
-        false
-    }
-
     fn drain_step(&mut self, t: SimTime) {
         if self.fifo.is_empty() {
             self.draining = false;
             return;
         }
-        let start = t.max(self.i2s.busy_until());
-        let first = self.fifo.pop().expect("checked non-empty");
+        let done = self.send_frame(t.max(self.i2s.busy_until()));
+        self.queue.schedule_at(done, Ev::FrameDone).expect("frame completes in the future");
+    }
+
+    /// Pops the oldest one or two buffered events, routes them out
+    /// through the crossbar and sends them as one I2S frame starting at
+    /// `start` (the link must be idle by then); returns when the frame
+    /// ends. An injected receiver-side slip then drops the frame, and
+    /// the lineage layer marks its events lost instead of delivered.
+    fn send_frame(&mut self, start: SimTime) -> SimTime {
+        let first = self.fifo.pop().expect("caller checked non-empty");
         self.crossbar.route(SourcePort::BufferOut, first.to_word());
         let second = self.fifo.pop();
         if let Some(s) = second {
             self.crossbar.route(SourcePort::BufferOut, s.to_word());
         }
-        let done = self.i2s.send_pair(start, first, second).expect("drain respects busy_until");
-        let slipped = self.maybe_slip_frame();
-        if let Some(ts) = self.tel.as_deref_mut() {
-            let pair = 1 + u64::from(second.is_some());
-            ts.tel.metrics.inc(ts.i2s_frames, 1);
-            ts.tel.spans.record(SpanKind::I2sFrame, "frame", start, done, Some(pair));
-            ts.tel.metrics.set_gauge(ts.fifo_occupancy, self.fifo.len() as f64);
-            ts.record_transmission(pair, start, done, slipped);
+        let done = self.i2s.send_pair(start, first, second).expect("frames never overlap");
+        let mut slipped = false;
+        if self.injector.slip_frame() {
+            if let Some(frame) = self.i2s.drop_last_frame() {
+                self.health.frame_slip(frame.events().count() as u64);
+                slipped = true;
+            }
         }
         self.regs.set_status(self.fifo.len() as u32);
-        self.queue.schedule_at(done, Ev::FrameDone).expect("frame completes in the future");
+        if let Some(ts) = self.tel.as_deref_mut() {
+            let pair = 1 + u64::from(second.is_some());
+            ts.tel.spans.record(SpanKind::I2sFrame, "frame", start, done, Some(pair));
+            ts.record_transmission(pair, start, done, slipped);
+        }
+        done
     }
 }
 

@@ -9,10 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use aetr_sim::time::{SimDuration, SimTime};
-
-use crate::i2s::I2sConfig;
-use crate::interface::InterfaceReport;
+use aetr_sim::time::SimDuration;
+use aetr_telemetry::lineage::{DropCause, EventLineage};
 
 /// Latency summary of one stage, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,37 +58,27 @@ pub struct LatencyReport {
 }
 
 impl LatencyReport {
-    /// Computes the decomposition from a run report. Returns `None`
-    /// for runs with no transmitted events.
+    /// Computes the decomposition from a run's per-event lineage
+    /// records (a run with [`TelemetryConfig::lineage_enabled`]).
+    /// Returns `None` when no event was delivered.
     ///
-    /// Events are matched to frames in order (the FIFO and the I2S
-    /// link are both FIFO, so the n-th captured event rides the
-    /// `n/2`-th frame slot).
-    pub fn from_report(report: &InterfaceReport, i2s: &I2sConfig) -> Option<LatencyReport> {
-        // Flatten frame slots to (event_index -> frame start/end).
-        let frame_duration = i2s.frame_duration();
-        let mut slot_times: Vec<(SimTime, SimTime)> = Vec::new();
-        for f in report.i2s.frames() {
-            let end = f.start + frame_duration;
-            for _ in f.events() {
-                slot_times.push((f.start, end));
-            }
-        }
-        if slot_times.is_empty() {
-            return None;
-        }
-
-        let n = slot_times.len().min(report.events.len());
-        let mut acq = Vec::with_capacity(n);
-        let mut buf = Vec::with_capacity(n);
-        let mut e2e = Vec::with_capacity(n);
-        for (ev, &(f_start, f_end)) in report.events.iter().zip(&slot_times) {
-            acq.push((ev.detection - ev.request).as_secs_f64());
-            buf.push(f_start.saturating_duration_since(ev.detection).as_secs_f64());
-            e2e.push(f_end.saturating_duration_since(ev.request).as_secs_f64());
+    /// Only delivered events are measured, each against its own
+    /// record's capture and I2S frame instants, so events lost to FIFO
+    /// overflow or frame slips neither count nor shift the others.
+    ///
+    /// [`TelemetryConfig::lineage_enabled`]: crate::interface::TelemetryConfig::lineage_enabled
+    pub fn from_lineage(records: &[EventLineage]) -> Option<LatencyReport> {
+        let mut acq = Vec::with_capacity(records.len());
+        let mut buf = Vec::with_capacity(records.len());
+        let mut e2e = Vec::with_capacity(records.len());
+        for r in records.iter().filter(|r| r.drop_cause == DropCause::Delivered) {
+            let (Some(start), Some(end)) = (r.i2s_start(), r.i2s_end()) else { continue };
+            acq.push(r.detection.saturating_duration_since(r.arrival).as_secs_f64());
+            buf.push(start.saturating_duration_since(r.detection).as_secs_f64());
+            e2e.push(end.saturating_duration_since(r.arrival).as_secs_f64());
         }
         Some(LatencyReport {
-            events: n,
+            events: acq.len(),
             acquisition: StageLatency::of(acq)?,
             buffering: StageLatency::of(buf)?,
             end_to_end: StageLatency::of(e2e)?,
@@ -124,23 +112,34 @@ fn fmt_s(secs: f64) -> String {
 mod tests {
     use super::*;
     use crate::fifo::FifoConfig;
-    use crate::interface::{AerToI2sInterface, InterfaceConfig};
-    use aetr_aer::generator::{RegularGenerator, SpikeSource};
+    use crate::interface::{AerToI2sInterface, InterfaceConfig, InterfaceReport, TelemetryConfig};
+    use aetr_aer::generator::{PoissonGenerator, RegularGenerator, SpikeSource};
+    use aetr_aer::spike::SpikeTrain;
+    use aetr_faults::FaultPlan;
+    use aetr_sim::time::SimTime;
 
-    fn run_with_watermark(watermark: usize) -> (InterfaceReport, I2sConfig) {
+    fn run(config: InterfaceConfig, train: &SpikeTrain, horizon: SimTime) -> InterfaceReport {
+        AerToI2sInterface::new(config).unwrap().run_with_telemetry(
+            train,
+            horizon,
+            &FaultPlan::nominal(0),
+            &TelemetryConfig { enabled: true, sample_cadence: None, lineage: true },
+        )
+    }
+
+    fn latency_with_watermark(watermark: usize) -> LatencyReport {
         let config = InterfaceConfig {
             fifo: FifoConfig { watermark, ..FifoConfig::prototype() },
             ..InterfaceConfig::prototype()
         };
-        let interface = AerToI2sInterface::new(config).unwrap();
         let train = RegularGenerator::from_rate(100_000.0, 8).generate(SimTime::from_ms(5));
-        (interface.run(&train, SimTime::from_ms(5)), config.i2s)
+        let report = run(config, &train, SimTime::from_ms(5));
+        LatencyReport::from_lineage(report.telemetry.lineage.records()).unwrap()
     }
 
     #[test]
     fn acquisition_latency_is_grid_scale() {
-        let (report, i2s) = run_with_watermark(1);
-        let lat = LatencyReport::from_report(&report, &i2s).unwrap();
+        let lat = latency_with_watermark(1);
         // 10 µs spacing sits in segment 1 (period ≤ 2·T_min) plus the
         // 2-FF synchroniser: a few hundred ns.
         assert!(lat.acquisition.mean_secs < 1e-6, "mean {}", lat.acquisition.mean_secs);
@@ -149,10 +148,8 @@ mod tests {
 
     #[test]
     fn deeper_watermark_costs_buffering_latency() {
-        let (r1, i2s) = run_with_watermark(1);
-        let (r256, _) = run_with_watermark(256);
-        let l1 = LatencyReport::from_report(&r1, &i2s).unwrap();
-        let l256 = LatencyReport::from_report(&r256, &i2s).unwrap();
+        let l1 = latency_with_watermark(1);
+        let l256 = latency_with_watermark(256);
         assert!(
             l256.buffering.mean_secs > 10.0 * l1.buffering.mean_secs,
             "watermark 1: {}, watermark 256: {}",
@@ -164,17 +161,36 @@ mod tests {
     }
 
     #[test]
+    fn fifo_loss_does_not_shift_other_events_frames() {
+        // 2 Mevt/s overruns the 15 MHz I2S link: over half the captured
+        // events are dropped at the full FIFO. Each delivered event must
+        // still be charged its own frame, not the one at its capture
+        // position in the stream (which belongs to a later event).
+        let horizon = SimTime::from_ms(5);
+        let train = PoissonGenerator::new(2_000_000.0, 64, 1).generate(horizon);
+        let report = run(InterfaceConfig::prototype(), &train, horizon);
+        assert_eq!(report.events.len(), 10_137);
+        assert_eq!(report.fifo_stats.dropped, 5_751);
+        let lat = LatencyReport::from_lineage(report.telemetry.lineage.records()).unwrap();
+        assert_eq!(lat.events, 10_137 - 5_751);
+        let close = |got: f64, ms: f64| (got * 1e3 - ms).abs() < 5e-4;
+        assert!(close(lat.buffering.mean_secs, 3.601), "{lat}");
+        assert!(close(lat.buffering.max_secs, 4.915), "{lat}");
+        assert!(close(lat.end_to_end.p99_secs, 4.919), "{lat}");
+        // Every delivered event left the FIFO within one buffer's worth
+        // of frames: 2304 events, two per 4.3 µs frame, is ~5 ms.
+        assert!(lat.end_to_end.max_secs < 5.0e-3, "{lat}");
+    }
+
+    #[test]
     fn empty_run_yields_none() {
-        let config = InterfaceConfig::prototype();
-        let interface = AerToI2sInterface::new(config).unwrap();
-        let report = interface.run(&aetr_aer::spike::SpikeTrain::new(), SimTime::from_ms(1));
-        assert!(LatencyReport::from_report(&report, &config.i2s).is_none());
+        let report = run(InterfaceConfig::prototype(), &SpikeTrain::new(), SimTime::from_ms(1));
+        assert!(LatencyReport::from_lineage(report.telemetry.lineage.records()).is_none());
     }
 
     #[test]
     fn display_renders_all_stages() {
-        let (report, i2s) = run_with_watermark(16);
-        let text = LatencyReport::from_report(&report, &i2s).unwrap().to_string();
+        let text = latency_with_watermark(16).to_string();
         assert!(text.contains("acquisition"));
         assert!(text.contains("buffering"));
         assert!(text.contains("end-to-end"));
