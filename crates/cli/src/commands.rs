@@ -152,6 +152,21 @@ fn rate_arg(args: &ParsedArgs, default: Option<f64>) -> Result<f64, Box<dyn Erro
     }
 }
 
+/// Sweep length: `--points N`. `log_space` needs both endpoints, so
+/// fewer than 2 points is an error rather than a silent clamp.
+fn points_arg(args: &ParsedArgs, default: usize) -> Result<usize, Box<dyn Error>> {
+    let points: usize = args.get_or("points", default, "integer")?;
+    if points >= 2 {
+        Ok(points)
+    } else {
+        Err(Box::new(ArgsError::InvalidValue {
+            flag: "points".into(),
+            value: points.to_string(),
+            expected: "point count (at least 2)",
+        }))
+    }
+}
+
 /// Worker-thread count for sweep commands: `--jobs N`, where `0` means
 /// "all available cores". Defaults to 1 (sequential); any value yields
 /// bit-identical output, so this is purely a wall-clock knob.
@@ -313,14 +328,14 @@ fn cmd_replay(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
 }
 
 fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    let points: usize = args.get_or("points", 9, "integer")?;
+    let points = points_arg(args, 9)?;
     let jobs = jobs_arg(args)?;
     let config = clock_config(args)?;
     let model = PowerModel::igloo_nano();
     // Each point is an independent simulation seeded by its index, so
     // the shards can run on worker threads; par_map returns rows in
     // input order, keeping the table bit-identical for any job count.
-    let rates = log_space(100.0, 1e6, points.max(2));
+    let rates = log_space(100.0, 1e6, points);
     let rows = aetr_sim::par_map(jobs, &rates, |i, &rate| {
         let secs = (1_000.0 / rate).max(0.1);
         let horizon = SimTime::ZERO + SimDuration::from_secs_f64(secs);
@@ -350,7 +365,7 @@ fn cmd_faults(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     use aetr::campaign::{CampaignConfig, FaultCampaign, FaultSurface};
     use aetr::interface::InterfaceConfig;
 
-    let points: usize = args.get_or("points", 7, "integer")?;
+    let points = points_arg(args, 7)?;
     let rate = rate_arg(args, Some(50_000.0))?;
     let duration_ms: u64 = args.get_or("duration-ms", 10, "integer")?;
     let seed: u64 = args.get_or("seed", 1, "integer")?;
@@ -374,7 +389,7 @@ fn cmd_faults(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
         ..CampaignConfig::default()
     };
     let campaign = FaultCampaign::new(config)?;
-    let result = campaign.run_with_jobs(&log_space(lo, hi, points.max(2)), jobs_arg(args)?);
+    let result = campaign.run_with_jobs(&log_space(lo, hi, points), jobs_arg(args)?);
 
     let mut table = Table::new(vec![
         "fault rate",
@@ -594,11 +609,12 @@ fn cmd_explain(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let report = lineage_report(args, &w)?;
     let log = &report.telemetry.lineage;
     let Some(r) = log.get(index) else {
-        return Err(format!(
-            "event {index} out of range: this run captured {} events (0..={})",
-            log.len(),
-            log.len().saturating_sub(1)
-        )
+        return Err(match log.len() {
+            0 => format!("event {index} out of range: this run captured no events"),
+            n => {
+                format!("event {index} out of range: this run captured {n} events (0..={})", n - 1)
+            }
+        }
         .into());
     };
     let prev = index.checked_sub(1).and_then(|p| log.get(p));
@@ -904,6 +920,26 @@ mod tests {
         assert_eq!(parallel, sequential);
     }
 
+    /// `--points 0|1` after `line` is a one-line error naming the flag,
+    /// not a silent clamp to 2.
+    fn assert_too_few_points_rejected(line: &[&str]) {
+        for bad in ["0", "1"] {
+            let full: Vec<&str> = line.iter().copied().chain(["--points", bad]).collect();
+            let err = run_line(&full).unwrap_err().to_string();
+            assert!(err.starts_with("--points") && !err.contains('\n'), "{full:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn sweep_rejects_too_few_points() {
+        assert_too_few_points_rejected(&["sweep"]);
+    }
+
+    #[test]
+    fn faults_rejects_too_few_points() {
+        assert_too_few_points_rejected(&["faults"]);
+    }
+
     #[test]
     fn faults_rejects_unknown_surface() {
         let err = run_line(&["faults", "--surface", "cosmic"]).unwrap_err();
@@ -1066,6 +1102,8 @@ mod tests {
         let err =
             run_line(&["explain", "999999", "--rate", "1000", "--duration-ms", "2"]).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+        let err = run_line(&["explain", "0", "--rate", "1", "--duration-ms", "1"]).unwrap_err();
+        assert!(err.to_string().ends_with("this run captured no events"), "{err}");
         let err = run_line(&["explain", "seven"]).unwrap_err();
         assert!(err.to_string().contains("event index"), "{err}");
         let err = run_line(&["explain"]).unwrap_err();

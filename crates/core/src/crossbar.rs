@@ -6,7 +6,6 @@
 //! keeps those connections reconfigurable (e.g. a bufferless
 //! front-end→I2S bypass for latency-critical setups).
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -21,6 +20,15 @@ pub enum SourcePort {
     BufferOut,
 }
 
+impl SourcePort {
+    /// Number of source ports.
+    const COUNT: usize = SourcePort::BufferOut as usize + 1;
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Data-consuming ports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum SinkPort {
@@ -28,6 +36,15 @@ pub enum SinkPort {
     BufferIn,
     /// The I2S transmitter.
     I2s,
+}
+
+impl SinkPort {
+    /// Number of sink ports.
+    const COUNT: usize = SinkPort::I2s as usize + 1;
+
+    fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// A route configuration error: one sink driven by two sources.
@@ -62,8 +79,10 @@ impl Error for SinkConflictError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Crossbar {
-    routes: BTreeMap<SourcePort, SinkPort>,
-    traffic: BTreeMap<SourcePort, u64>,
+    /// Sink of each source port, indexed by [`SourcePort`].
+    routes: [Option<SinkPort>; SourcePort::COUNT],
+    /// Words routed from each source port.
+    traffic: [u64; SourcePort::COUNT],
 }
 
 impl Crossbar {
@@ -76,15 +95,15 @@ impl Crossbar {
     pub fn new(
         routes: impl IntoIterator<Item = (SourcePort, SinkPort)>,
     ) -> Result<Crossbar, SinkConflictError> {
-        let mut map = BTreeMap::new();
-        let mut sinks_seen = std::collections::BTreeSet::new();
+        let mut table = [None; SourcePort::COUNT];
+        let mut sinks_seen = [false; SinkPort::COUNT];
         for (src, sink) in routes {
-            if !sinks_seen.insert(sink) {
+            if std::mem::replace(&mut sinks_seen[sink.index()], true) {
                 return Err(SinkConflictError { sink });
             }
-            map.insert(src, sink);
+            table[src.index()] = Some(sink);
         }
-        Ok(Crossbar { routes: map, traffic: BTreeMap::new() })
+        Ok(Crossbar { routes: table, traffic: [0; SourcePort::COUNT] })
     }
 
     /// The prototype routing: front-end → buffer, buffer → I2S.
@@ -103,21 +122,21 @@ impl Crossbar {
     /// Routes a data word from `source`, returning the configured sink
     /// (`None` if the source is unconnected) and counting the word.
     pub fn route(&mut self, source: SourcePort, _word: u32) -> Option<SinkPort> {
-        let sink = self.routes.get(&source).copied();
+        let sink = self.routes[source.index()];
         if sink.is_some() {
-            *self.traffic.entry(source).or_insert(0) += 1;
+            self.traffic[source.index()] += 1;
         }
         sink
     }
 
     /// The sink a source is routed to.
     pub fn sink_of(&self, source: SourcePort) -> Option<SinkPort> {
-        self.routes.get(&source).copied()
+        self.routes[source.index()]
     }
 
     /// Words routed from a source so far.
     pub fn words_through(&self, source: SourcePort) -> u64 {
-        self.traffic.get(&source).copied().unwrap_or(0)
+        self.traffic[source.index()]
     }
 }
 

@@ -1,8 +1,9 @@
 //! The full AER-to-I2S interface, simulated at the discrete-event
 //! level.
 //!
-//! This assembles every block of Fig. 3 around the deterministic event
-//! queue of [`aetr_sim`]: the sensor-side 4-phase
+//! This assembles every block of Fig. 3 around the deterministic
+//! fixed-slot event scheduler of [`aetr_sim`] ([`SlotQueue`]): the
+//! sensor-side 4-phase
 //! [handshake](aetr_aer::handshake), the 2-FF [front end](crate::front_end),
 //! the cycle-accurate sampling [FSM](aetr_clockgen::fsm) clocked by the
 //! pausable ring oscillator, the AETR [FIFO](crate::fifo) with
@@ -30,7 +31,7 @@ use aetr_faults::{
 };
 use aetr_power::meter::PowerMeter;
 use aetr_power::model::{ActivityInput, PowerModel, PowerReport};
-use aetr_sim::queue::EventQueue;
+use aetr_sim::slots::{SlotQueue, Slotted};
 use aetr_sim::time::{SimDuration, SimTime};
 use aetr_telemetry::lineage::{Capture, DropCause, EventLineage};
 use aetr_telemetry::registry::{CounterId, GaugeId, HistogramId};
@@ -201,6 +202,10 @@ impl Default for SimEngine {
 }
 
 /// Scheduled DES events.
+///
+/// At most one event of each slotted kind is ever pending (see the
+/// `Slotted` impl below); SPI writes ride the scheduler's time-sorted
+/// timeline instead of a slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Sensor raises `REQ`.
@@ -218,6 +223,36 @@ enum Ev {
     /// Watchdog re-checks a wake the oscillator may have missed
     /// (attempt number).
     WakeCheck(u32),
+}
+
+/// Number of slotted event kinds (every [`Ev`] but `SpiWrite`).
+const EV_SLOTS: usize = 6;
+
+/// One slot per kind. The runner never has two of a kind pending: each
+/// `Tick` schedules only its successor (a shutdown, stall or stale tick
+/// schedules none, and `WakeDone` starts a chain only while the clock is
+/// asleep); `ReqRise` is scheduled only once the previous handshake has
+/// completed or been aborted; `WakeDone`/`WakeCheck` only by a wake of
+/// the sleeping clock or by the popped check itself; `FrameDone` only
+/// while `draining` is clear or by the popped frame; `AckRetry` only
+/// while `pending_ack` is set, by the capture that set it or the popped
+/// retry.
+impl Slotted for Ev {
+    fn slot(&self) -> usize {
+        match self {
+            Ev::ReqRise => 0,
+            Ev::Tick => 1,
+            Ev::WakeDone => 2,
+            Ev::FrameDone => 3,
+            Ev::AckRetry(_) => 4,
+            Ev::WakeCheck(_) => 5,
+            Ev::SpiWrite(_) => unreachable!("SPI writes ride the timeline, not a slot"),
+        }
+    }
+
+    fn timeline(index: usize) -> Ev {
+        Ev::SpiWrite(index)
+    }
 }
 
 /// The assembled interface.
@@ -611,7 +646,7 @@ struct Runner<'a> {
     horizon: SimTime,
     base: SimDuration,
 
-    queue: EventQueue<Ev>,
+    queue: SlotQueue<Ev, EV_SLOTS>,
     sender: HandshakeSender<'a>,
     monitor: InputMonitor,
     fsm: SamplerFsm,
@@ -661,7 +696,8 @@ impl<'a> Runner<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `reconfigs` is not time-sorted.
+    /// Panics if `reconfigs` is not time-sorted (the scheduler's
+    /// timeline checks it).
     fn new(
         iface: &'a AerToI2sInterface,
         train: &'a SpikeTrain,
@@ -670,10 +706,6 @@ impl<'a> Runner<'a> {
         telemetry: &TelemetryConfig,
         reconfigs: &'a [(SimTime, Register, u32)],
     ) -> Runner<'a> {
-        assert!(
-            reconfigs.windows(2).all(|w| w[1].0 >= w[0].0),
-            "reconfiguration writes must be time-sorted"
-        );
         let cfg = &iface.config;
         let spikes = train.as_slice();
         let mut tel = TelState::new(telemetry);
@@ -687,10 +719,9 @@ impl<'a> Runner<'a> {
             power_model: &iface.power_model,
             horizon,
             base: cfg.clock.base_sampling_period(),
-            // A handful of events are ever concurrently pending (tick,
-            // REQ, frame drains, watchdog retries); pre-size past that
-            // so the hot loop never reallocates.
-            queue: EventQueue::with_capacity(16),
+            // Host writes first, so they take the lowest sequence
+            // numbers and win ties.
+            queue: SlotQueue::with_timeline(reconfigs.iter().map(|&(t, _, _)| t)),
             sender: HandshakeSender::over(spikes, cfg.handshake),
             monitor: InputMonitor::new(cfg.front_end),
             fsm: SamplerFsm::new(&cfg.clock),
@@ -722,11 +753,8 @@ impl<'a> Runner<'a> {
     }
 
     fn run(mut self) -> InterfaceReport {
-        // Prime the pump: host writes first (so they win ties), then
-        // the first clock tick and the first request.
-        for (i, &(t, _, _)) in self.reconfigs.iter().enumerate() {
-            self.queue.schedule_at(t, Ev::SpiWrite(i)).expect("fresh queue, sorted writes");
-        }
+        // Prime the pump: the host writes are already on the timeline;
+        // then the first clock tick and the first request.
         self.queue
             .schedule_at(SimTime::ZERO + self.base, Ev::Tick)
             .expect("fresh queue accepts the first tick");

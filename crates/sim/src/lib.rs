@@ -2,7 +2,9 @@
 //!
 //! The foundation of the AETR reproduction: integer-picosecond time
 //! ([`time`]), a deterministic event queue with stable tie-breaking and
-//! O(1) tombstone cancellation ([`queue`]), signal tracing ([`trace`]),
+//! O(1) tombstone cancellation ([`queue`]), a fixed-slot scheduler that
+//! pops the same `(time, seq)` order for models with at most one pending
+//! event per kind ([`slots`]), signal tracing ([`trace`]),
 //! VCD waveform export ([`vcd`]), and a deterministic parallel executor
 //! for independent sweep points ([`parallel`]).
 //!
@@ -48,6 +50,7 @@
 
 pub mod parallel;
 pub mod queue;
+pub mod slots;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -55,6 +58,7 @@ pub mod vcd;
 
 pub use parallel::{available_jobs, par_map};
 pub use queue::{EventHandle, EventQueue, SchedulePastError};
+pub use slots::{SlotError, SlotQueue, Slotted};
 pub use stats::OnlineStats;
 pub use time::{Frequency, SimDuration, SimTime};
 pub use trace::{TraceValue, Tracer};

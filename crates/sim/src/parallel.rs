@@ -2,7 +2,8 @@
 //!
 //! Campaign and sweep workloads in this repository are embarrassingly
 //! parallel: every point owns its own seeded RNG streams and its own
-//! [`EventQueue`](crate::queue::EventQueue), so points never share
+//! event scheduler ([`SlotQueue`](crate::slots::SlotQueue) in the
+//! interface runner), so points never share
 //! mutable state. This module shards such points over OS threads with
 //! [`std::thread::scope`] — no external crates, the vendor tree is
 //! offline — while keeping the output *bit-identical* to a sequential

@@ -187,3 +187,66 @@ fn never_stopping_policies_match_the_recorded_reports() {
         assert_eq!(case.fingerprint(), pin, "{policy:?}");
     }
 }
+
+/// Four spikes 300 µs apart on address 2: the clock sleeps before each.
+fn sleepy_train(extra: Option<SimTime>) -> SpikeTrain {
+    let gap = SimDuration::from_us(300);
+    let mut spikes: Vec<Spike> = (1..=4u64)
+        .map(|i| Spike::new(SimTime::ZERO + gap * i, Address::new(2).expect("valid address")))
+        .collect();
+    if let Some(t) = extra {
+        spikes.push(Spike::new(t, Address::new(5).expect("valid address")));
+        spikes.sort_by_key(|s| s.time);
+    }
+    spikes.into_iter().collect()
+}
+
+#[test]
+fn spi_writes_win_ties_with_ticks_and_requests() {
+    // Every tick instant below is read off a write-free run: a capture
+    // at `d` restarts the chain at T_min, so `d + k·T_min` is a tick
+    // until the first division (θ_div = 64 ticks later).
+    let base = ClockGenConfig::prototype().base_sampling_period();
+    let plain = AerToI2sInterface::new(InterfaceConfig::prototype())
+        .expect("valid config")
+        .run(&sleepy_train(None), SimTime::from_ms(2));
+    let d = plain.events[1].detection;
+    let fingerprint_with = |train: SpikeTrain, writes: &[(SimTime, Register, u32)]| {
+        Case { writes, ..Case::new(train, 2) }.fingerprint()
+    };
+    let late = SimDuration::from_ps(1);
+
+    // A θ_div write at a tick instant: applied first, that very tick
+    // divides the clock; applied after it, the division comes a tick
+    // later.
+    let at_tick = d + base * 3;
+    let tick_tie = fingerprint_with(sleepy_train(None), &[(at_tick, Register::ThetaDiv, 2)]);
+    assert_ne!(
+        tick_tie,
+        fingerprint_with(sleepy_train(None), &[(at_tick + late, Register::ThetaDiv, 2)]),
+        "the tie must be observable"
+    );
+    assert_eq!(tick_tie, 17_643_279_703_065_522_454);
+
+    // Three-way tie: a spike's REQ rises at a tick instant, and a write
+    // lands at that same instant.
+    let at_req = d + base * 10;
+    let train = || sleepy_train(Some(at_req));
+    let report = AerToI2sInterface::new(InterfaceConfig::prototype())
+        .expect("valid config")
+        .run(&train(), SimTime::from_ms(2));
+    assert_eq!(report.events[2].request, at_req, "REQ rises exactly at the tick");
+    let req_tie = fingerprint_with(train(), &[(at_req, Register::ThetaDiv, 5)]);
+    assert_ne!(
+        req_tie,
+        fingerprint_with(train(), &[(at_req + late, Register::ThetaDiv, 5)]),
+        "the tie must be observable"
+    );
+    assert_eq!(req_tie, 6_978_832_462_899_739_931);
+
+    // A REQ that wakes the sleeping clock, with an N_div write at the
+    // same instant.
+    let wake = SimTime::ZERO + SimDuration::from_us(600);
+    let wake_tie = fingerprint_with(sleepy_train(None), &[(wake, Register::NDiv, 1)]);
+    assert_eq!(wake_tie, 11_367_915_132_133_126_843);
+}
