@@ -31,10 +31,12 @@ pub enum FaultSurface {
     /// Handshake faults only (stuck `REQ`, lost `ACK`, malformed
     /// transactions).
     Protocol,
-    /// Storage and link faults only (FIFO bit flips, I2S frame slips,
-    /// CDC pointer upsets).
+    /// Storage and link faults only (FIFO bit flips, I2S frame slips).
+    /// The CDC Gray-pointer rate is set as well, but the interface has
+    /// no CDC FIFO, so it injects nothing here.
     Datapath,
-    /// Every per-event fault class at once.
+    /// Every per-event fault class at once (the CDC Gray-pointer rate,
+    /// as for `Datapath`, injects nothing in an interface run).
     All,
 }
 

@@ -16,7 +16,6 @@
 //! use this for architectural effects (handshake backpressure, FIFO
 //! overflow, I2S saturation, wake latency) and validation.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -26,9 +25,7 @@ use aetr_aer::handshake::{HandshakeLog, HandshakeSender, HandshakeTiming};
 use aetr_aer::spike::SpikeTrain;
 use aetr_clockgen::config::{ClockGenConfig, ClockGenConfigError};
 use aetr_clockgen::fsm::{CaptureContext, FsmAction, IdleBoundary, IdleSegment, SamplerFsm};
-use aetr_faults::{
-    FaultInjector, FaultKind, FaultPlan, HealthMonitor, InterfaceHealthReport, WatchdogConfig,
-};
+use aetr_faults::{FaultInjector, FaultKind, FaultPlan, InterfaceHealthReport, WatchdogConfig};
 use aetr_power::meter::PowerMeter;
 use aetr_power::model::{ActivityInput, PowerModel, PowerReport};
 use aetr_sim::slots::{SlotQueue, Slotted};
@@ -40,7 +37,6 @@ pub use aetr_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 
 use crate::aetr_format::{AetrEvent, Timestamp};
 use crate::config_bus::{Register, RegisterFile};
-use crate::crossbar::{Crossbar, SinkPort, SourcePort};
 use crate::fifo::{AetrFifo, FifoConfig, FifoStats, PushOutcome};
 use crate::front_end::{FrontEndConfig, InputMonitor};
 use crate::i2s::{I2sConfig, I2sStream, I2sTransmitter};
@@ -176,29 +172,20 @@ pub struct InterfaceReport {
 /// Both engines produce **bit-identical** [`InterfaceReport`]s (pinned
 /// by a differential property test); they differ only in wall-clock
 /// cost. The non-default engine exists as the reference model the
-/// fast-forward is continuously tested against — enable the
-/// `per-tick-reference` cargo feature to flip the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// fast-forward is continuously tested against; select it with
+/// [`AerToI2sInterface::with_engine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SimEngine {
     /// Analytic idle fast-forward (the default): when no request, ACK
     /// recovery, wake, or scheduled fault is in flight, the quiet tick
     /// chain up to the next queue event is advanced in O(`N_div`)
     /// closed-form segments instead of one DES event per clock edge,
     /// making simulation cost proportional to *events*, not horizon.
+    #[default]
     EventProportional,
     /// One DES event per sampling-clock edge — the cycle-by-cycle
     /// reference model.
     PerTickReference,
-}
-
-impl Default for SimEngine {
-    fn default() -> Self {
-        if cfg!(feature = "per-tick-reference") {
-            SimEngine::PerTickReference
-        } else {
-            SimEngine::EventProportional
-        }
-    }
 }
 
 /// Scheduled DES events.
@@ -408,25 +395,38 @@ impl AerToI2sInterface {
 /// every field below is written on a per-event code path shared by both
 /// engines (quiet stretches have no captures, wakes, handshakes, FIFO
 /// or I2S activity by the `idle_at` precondition).
+///
+/// Everything else the records need is read off the run itself: the
+/// handshake in flight always belongs to the newest record, the
+/// previous arrival is the previous captured event's `REQ` rise, and
+/// the FIFO holds exactly the enqueued records at or past `fifo_head`
+/// (events enter and leave in capture order).
 struct LineageState {
     log: aetr_telemetry::lineage::LineageLog,
-    /// Capture indices of the events currently buffered, in FIFO
-    /// order — a shadow of `AetrFifo`'s queue, so pops can be matched
-    /// back to their records.
-    fifo_mirror: VecDeque<u32>,
+    /// Capture index at or before the oldest buffered record: every
+    /// record below it has left the FIFO or never entered it.
+    fifo_head: u32,
     /// An oscillator wake is in flight, started at this instant.
     wake_started: Option<SimTime>,
     /// The last completed wake `(started, done)`, pending attribution
     /// to the woken event's capture.
     wake_done: Option<(SimTime, SimTime)>,
-    /// Capture index of the event whose handshake has not seen its
-    /// `ACK` rise yet.
-    awaiting_ack: Option<u32>,
-    /// Previous event's arrival (`t = 0` before the first), the origin
-    /// of the measured inter-event interval.
-    prev_arrival: SimTime,
-    /// Arrival → end-of-I2S-frame latency distribution.
+    /// Arrival → end-of-I2S-frame latency distribution, folded from
+    /// the records at [`TelState::finish`].
     e2e_latency: HistogramId,
+}
+
+impl LineageState {
+    /// The oldest record still in the FIFO, which is leaving it now:
+    /// moves `fifo_head` past it.
+    fn pop_fifo(&mut self) -> Option<&mut EventLineage> {
+        let records = self.log.records();
+        let offset =
+            records[self.fifo_head as usize..].iter().position(|r| r.fifo_enqueue().is_some())?;
+        let idx = self.fifo_head + offset as u32;
+        self.fifo_head = idx + 1;
+        self.log.get_mut(idx)
+    }
 }
 
 /// Sampling-clock state after a transition, as narrated to the
@@ -475,7 +475,8 @@ struct TelState {
     // Hot-path counters: clock transitions the report keeps no count of.
     divisions: CounterId,
     shutdowns: CounterId,
-    // Gauges / histograms.
+    // Gauges / histograms. `fifo_depth` is the only one observed per
+    // event: the report keeps no occupancy history to fold it from.
     fifo_occupancy: GaugeId,
     fifo_depth: HistogramId,
     capture_latency: HistogramId,
@@ -524,11 +525,9 @@ impl TelState {
         );
         let lineage = config.lineage_enabled().then(|| LineageState {
             log: aetr_telemetry::lineage::LineageLog::new(),
-            fifo_mirror: VecDeque::new(),
+            fifo_head: 0,
             wake_started: None,
             wake_done: None,
-            awaiting_ack: None,
-            prev_arrival: SimTime::ZERO,
             // Arrival → wire latency: a drained frame takes ~4.3 µs on
             // the 15 MHz link, watermark batching stretches to ms.
             e2e_latency: m.histogram(
@@ -584,20 +583,16 @@ impl TelState {
     }
 
     /// Lineage: attributes one transmitted frame's `pair` events to
-    /// their records — FIFO dequeue and I2S window, the frame-slip loss
-    /// cause when the receiver dropped the frame, and the end-to-end
-    /// latency observation for delivered events. No-op without lineage.
+    /// their records — FIFO dequeue and I2S window, and the frame-slip
+    /// loss cause when the receiver dropped the frame. No-op without
+    /// lineage.
     fn record_transmission(&mut self, pair: u64, start: SimTime, done: SimTime, slipped: bool) {
         let Some(ls) = self.lineage.as_mut() else { return };
         for _ in 0..pair {
-            let Some(idx) = ls.fifo_mirror.pop_front() else { break };
-            let Some(r) = ls.log.get_mut(idx) else { continue };
+            let Some(r) = ls.pop_fifo() else { break };
             r.set_transmitted(start, done);
             if slipped {
                 r.drop_cause = DropCause::FrameSlip;
-            } else {
-                let e2e_ns = done.saturating_duration_since(r.arrival).as_ns() as f64;
-                self.tel.metrics.observe(ls.e2e_latency, e2e_ns);
             }
         }
     }
@@ -605,8 +600,11 @@ impl TelState {
     /// Finalises the collector: closes the last residency interval at
     /// `end`, sets the counters the report already holds, folds the
     /// health counters into the registry under their shared
-    /// `interface.health.*` names, and snapshots. `fifo_depth` is the
-    /// buffer's final occupancy.
+    /// `interface.health.*` names, observes the two latency histograms
+    /// from the captured events and the lineage records (in capture
+    /// order, which is also the order the events were captured and
+    /// delivered in), and snapshots. `fifo_depth` is the buffer's final
+    /// occupancy.
     fn finish(
         mut self,
         end: SimTime,
@@ -632,7 +630,14 @@ impl TelState {
         if sim_events > 0 {
             self.tel.metrics.set_gauge(self.fifo_occupancy, fifo_depth as f64);
         }
+        for e in &report.events {
+            let latency_ns = e.detection.saturating_duration_since(e.request).as_ns() as f64;
+            self.tel.metrics.observe(self.capture_latency, latency_ns);
+        }
         if let Some(ls) = self.lineage.take() {
+            for e2e in ls.log.records().iter().filter_map(EventLineage::end_to_end_latency) {
+                self.tel.metrics.observe(ls.e2e_latency, e2e.as_ns() as f64);
+            }
             self.tel.lineage = ls.log;
         }
         self.tel.into_snapshot(sim_events, queue_ops)
@@ -651,7 +656,6 @@ struct Runner<'a> {
     monitor: InputMonitor,
     fsm: SamplerFsm,
     fifo: AetrFifo,
-    crossbar: Crossbar,
     i2s: I2sTransmitter,
     meter: PowerMeter,
     regs: RegisterFile,
@@ -678,15 +682,16 @@ struct Runner<'a> {
     injector: FaultInjector,
     /// Recovery policy.
     watchdog: WatchdogConfig,
-    /// Fault/recovery counters.
-    health: HealthMonitor,
+    /// Fault/recovery counters, bumped where each fault or recovery
+    /// happens. `degraded` is set once the watchdog gives up on
+    /// pausable clocking (`N_div` clamped, clock never sleeps again).
+    /// The FIFO-drop counters stay zero here: the FIFO counts its own
+    /// losses, and they are copied from [`FifoStats`] into the report.
+    health: InterfaceHealthReport,
     /// Sampling time of an event whose `ACK` the sensor missed; the
     /// handshake hangs (`REQ` high, sender in `ReqHigh`) until an
     /// `AckRetry` resolves it.
     pending_ack: Option<SimTime>,
-    /// The watchdog gave up on pausable clocking (`N_div` clamped,
-    /// clock never sleeps again).
-    degraded: bool,
     /// Telemetry collector (`None` when disabled — the no-op sink).
     tel: Option<Box<TelState>>,
 }
@@ -726,7 +731,6 @@ impl<'a> Runner<'a> {
             monitor: InputMonitor::new(cfg.front_end),
             fsm: SamplerFsm::new(&cfg.clock),
             fifo: AetrFifo::new(cfg.fifo),
-            crossbar: Crossbar::prototype().expect("fixed routes cannot conflict"),
             i2s: I2sTransmitter::new(cfg.i2s),
             meter: PowerMeter::new(SimTime::ZERO),
             regs: RegisterFile::from_config(&cfg.clock, cfg.fifo.watermark as u32),
@@ -743,9 +747,8 @@ impl<'a> Runner<'a> {
             idle_segments: Vec::new(),
             injector: FaultInjector::new(plan),
             watchdog: plan.watchdog,
-            health: HealthMonitor::new(),
+            health: InterfaceHealthReport::default(),
             pending_ack: None,
-            degraded: false,
             tel,
         };
         runner.clock_transition(SimTime::ZERO, ClockRate::FullRate);
@@ -801,15 +804,22 @@ impl<'a> Runner<'a> {
         let power = self.power_model.evaluate(&activity);
         let tel = self.tel.take();
         let queue_ops = self.queue.ops();
+        let fifo_stats = *self.fifo.stats();
+        let health = InterfaceHealthReport {
+            fifo_drops: fifo_stats.dropped,
+            fifo_drops_overflow: fifo_stats.dropped_overflow,
+            fifo_drops_degraded: fifo_stats.dropped_degraded,
+            ..self.health
+        };
         let mut report = InterfaceReport {
             events: self.events,
             handshake: self.log,
-            fifo_stats: *self.fifo.stats(),
+            fifo_stats,
             i2s: self.i2s.into_stream(),
             wake_count: activity.wake_count,
             activity,
             power,
-            health: self.health.report(),
+            health,
             telemetry: TelemetrySnapshot::empty(),
         };
         if let Some(ts) = tel {
@@ -874,7 +884,7 @@ impl<'a> Runner<'a> {
             let new_clock = self.regs.apply_to(&self.cfg.clock);
             // In degraded mode the watchdog's clamp outranks the host:
             // an SPI write cannot resurrect recursive clocking.
-            let new_clock = if self.degraded {
+            let new_clock = if self.health.degraded {
                 new_clock.degraded_fallback(self.watchdog.degraded_n_div_clamp)
             } else {
                 new_clock
@@ -909,7 +919,7 @@ impl<'a> Runner<'a> {
         }
         let due = t + self.cfg.clock.ring.wake_latency;
         if self.injector.fail_wake() {
-            self.health.wake_failure();
+            self.health.wake_failures += 1;
             if let Some(ts) = self.tel.as_deref_mut() {
                 ts.wake_recovery_open =
                     Some(ts.tel.spans.open(SpanKind::WatchdogRecovery, "wake-recovery", t));
@@ -1045,7 +1055,7 @@ impl<'a> Runner<'a> {
         if let Some(kind) = self.injector.due_scheduled(t) {
             match kind {
                 FaultKind::StuckOscillator => {
-                    self.health.oscillator_stall();
+                    self.health.oscillator_stalls += 1;
                     self.fsm.force_shutdown();
                     self.clock_transition(t, ClockRate::Off);
                     // A latched REQ holds the wake input, so recovery
@@ -1106,7 +1116,7 @@ impl<'a> Runner<'a> {
         let Some(addr) = self.monitor.sampled_address() else {
             // A glitch made the synchroniser fire with nothing latched
             // (possible only under injected faults); nothing to capture.
-            self.health.spurious_sample();
+            self.health.spurious_samples += 1;
             return;
         };
         let event = AetrEvent::new(addr, Timestamp::from_ticks(ticks));
@@ -1116,39 +1126,47 @@ impl<'a> Runner<'a> {
                 // Latched address without an in-flight request: a stuck
                 // REQ re-sampled after its handshake completed. Discard
                 // the duplicate and clear the latch.
-                self.health.spurious_sample();
+                self.health.spurious_samples += 1;
                 self.monitor.req_fall();
                 return;
             }
         };
         self.events.push(TimestampedEvent { request, detection: t, event });
         self.meter.event(1);
-        let t_min_ps = self.base.as_ps();
-        let counter_max = self.cfg.clock.counter_max();
-        // Capture index of this event's lineage record, if one exists.
-        let mut lineage_idx = None;
+
+        // Into the FIFO. An injected bit flip corrupts the stored word
+        // only — the captured event above keeps the true value, so
+        // campaigns can measure the damage.
+        let mut word = event.to_word();
+        if let Some(bit) = self.injector.flip_fifo_bit() {
+            self.health.fifo_bit_flips += 1;
+            word ^= 1 << bit;
+        }
+        let outcome = self.fifo.push(AetrEvent::from_word(word));
         if let Some(ts) = self.tel.as_deref_mut() {
-            let latency_ns = t.saturating_duration_since(request).as_ns() as f64;
-            ts.tel.metrics.observe(ts.capture_latency, latency_ns);
+            ts.tel.metrics.observe(ts.fifo_depth, self.fifo.len() as f64);
             if let Some(ls) = ts.lineage.as_mut() {
-                let index = ls.log.len() as u32;
                 let wake_penalty = match (woke, ls.wake_done.take()) {
                     (true, Some((started, done))) => done.saturating_duration_since(started),
                     _ => SimDuration::ZERO,
                 };
                 // Signed quantization error of the measured interval,
-                // in fractional T_min ticks. The picosecond terms are
-                // exact in i128; their difference fits i64 comfortably
-                // (simulated horizons are far below 2^63 ps), and the
-                // i64 → f64 cast is a single instruction where the
-                // i128 → f64 one is a libcall — this is the hot path.
+                // in fractional T_min ticks, measured from the previous
+                // event's arrival (`t = 0` before the first). The
+                // picosecond terms are exact in i128; their difference
+                // fits i64 comfortably (simulated horizons are far
+                // below 2^63 ps), and the i64 → f64 cast is a single
+                // instruction where the i128 → f64 one is a libcall —
+                // this is the hot path.
+                let prev_arrival =
+                    self.events.iter().rev().nth(1).map_or(SimTime::ZERO, |e| e.request);
+                let t_min_ps = self.base.as_ps();
                 let measured_ps = ticks as i128 * t_min_ps as i128;
-                let true_ps = request.as_ps() as i128 - ls.prev_arrival.as_ps() as i128;
+                let true_ps = request.as_ps() as i128 - prev_arrival.as_ps() as i128;
                 let quantization_error_ticks =
                     (measured_ps - true_ps) as i64 as f64 / t_min_ps as f64;
-                ls.prev_arrival = request;
-                ls.log.push(EventLineage::captured(Capture {
-                    index,
+                let mut record = EventLineage::captured(Capture {
+                    index: ls.log.len() as u32,
                     address: addr.value(),
                     arrival: request,
                     detection: t,
@@ -1156,77 +1174,34 @@ impl<'a> Runner<'a> {
                     // Frozen-at-shutdown or clamped counters mark the
                     // interval as "longer than measurable", not a
                     // measurement.
-                    saturated: woke || ticks >= counter_max,
+                    saturated: woke || ticks >= self.cfg.clock.counter_max(),
                     division_level: ctx.division_level,
                     multiplier: ctx.multiplier,
                     sampling_period: ctx.sampling_period,
                     woke,
                     wake_penalty,
                     quantization_error_ticks,
-                }));
-                ls.awaiting_ack = Some(index);
-                lineage_idx = Some(index);
-            }
-        }
-
-        // Route through the crossbar into the FIFO. An injected bit
-        // flip corrupts the stored word only — the captured event above
-        // keeps the true value, so campaigns can measure the damage.
-        let mut word = event.to_word();
-        if let Some(bit) = self.injector.flip_fifo_bit() {
-            self.health.fifo_bit_flip();
-            word ^= 1 << bit;
-        }
-        if self.crossbar.route(SourcePort::FrontEnd, word) == Some(SinkPort::BufferIn) {
-            let stored = AetrEvent::from_word(word);
-            let outcome = self.fifo.push(stored);
-            if outcome.lost_an_event() {
-                self.health.fifo_drop(self.degraded);
-            }
-            let degraded = self.degraded;
-            if let Some(ts) = self.tel.as_deref_mut() {
-                ts.tel.metrics.observe(ts.fifo_depth, self.fifo.len() as f64);
-                if let (Some(ls), Some(idx)) = (ts.lineage.as_mut(), lineage_idx) {
-                    match outcome {
-                        PushOutcome::Stored => {
-                            ls.fifo_mirror.push_back(idx);
-                            if let Some(r) = ls.log.get_mut(idx) {
-                                r.set_fifo_enqueue(t);
-                            }
+                });
+                match outcome {
+                    PushOutcome::Stored => record.set_fifo_enqueue(t),
+                    PushOutcome::DroppedNewest => {
+                        record.drop_cause = if self.fifo.is_degraded() {
+                            DropCause::Degraded
+                        } else {
+                            DropCause::Overflow
+                        };
+                    }
+                    PushOutcome::DroppedOldest => {
+                        // The incoming event is stored; the oldest
+                        // buffered one was displaced to make room.
+                        if let Some(victim) = ls.pop_fifo() {
+                            victim.drop_cause = DropCause::Displaced;
+                            victim.set_fifo_dequeue(t);
                         }
-                        PushOutcome::DroppedNewest => {
-                            if let Some(r) = ls.log.get_mut(idx) {
-                                r.drop_cause = if degraded {
-                                    DropCause::Degraded
-                                } else {
-                                    DropCause::Overflow
-                                };
-                            }
-                        }
-                        PushOutcome::DroppedOldest => {
-                            // The incoming event is stored; the oldest
-                            // buffered one was displaced to make room.
-                            if let Some(victim) = ls.fifo_mirror.pop_front() {
-                                if let Some(r) = ls.log.get_mut(victim) {
-                                    r.drop_cause = DropCause::Displaced;
-                                    r.set_fifo_dequeue(t);
-                                }
-                            }
-                            ls.fifo_mirror.push_back(idx);
-                            if let Some(r) = ls.log.get_mut(idx) {
-                                r.set_fifo_enqueue(t);
-                            }
-                        }
+                        record.set_fifo_enqueue(t);
                     }
                 }
-            }
-        } else if let Some(ts) = self.tel.as_deref_mut() {
-            // The crossbar refused the route: the event never reached
-            // the buffer.
-            if let (Some(ls), Some(idx)) = (ts.lineage.as_mut(), lineage_idx) {
-                if let Some(r) = ls.log.get_mut(idx) {
-                    r.drop_cause = DropCause::NotRouted;
-                }
+                ls.log.push(record);
             }
         }
         self.regs.set_status(self.fifo.len() as u32);
@@ -1238,7 +1213,7 @@ impl<'a> Runner<'a> {
         // over and re-drives it after a timeout.
         let ref_period = self.cfg.clock.reference_period();
         if self.injector.lose_ack() {
-            self.health.lost_ack();
+            self.health.lost_acks += 1;
             self.pending_ack = Some(t);
             if let Some(ts) = self.tel.as_deref_mut() {
                 ts.ack_recovery_open =
@@ -1271,7 +1246,7 @@ impl<'a> Runner<'a> {
             // The sensor drives its edges out of order; the logged
             // transaction violates the 4-phase contract and
             // `verify_protocol` will flag it.
-            self.health.malformed();
+            self.health.malformed_transactions += 1;
             std::mem::swap(&mut txn.ack_rise, &mut txn.req_fall);
         }
         self.log.push(txn);
@@ -1279,20 +1254,17 @@ impl<'a> Runner<'a> {
             if let Some(h) = ts.handshake_open.take() {
                 ts.tel.spans.close(h, ack_fall);
             }
-            if let Some(ls) = ts.lineage.as_mut() {
-                // The record keeps the instant ACK actually rose, even
-                // when a malform fault scrambles the *logged* edges.
-                if let Some(idx) = ls.awaiting_ack.take() {
-                    if let Some(r) = ls.log.get_mut(idx) {
-                        r.set_ack_rise(ack_rise);
-                    }
-                }
+            // The handshake in flight belongs to the newest record. It
+            // keeps the instant ACK actually rose, even when a malform
+            // fault scrambles the *logged* edges.
+            if let Some(r) = ts.lineage.as_mut().and_then(|ls| ls.log.last_mut()) {
+                r.set_ack_rise(ack_rise);
             }
         }
         if self.injector.stick_req() {
             // REQ fails to fall: the synchroniser latch stays set and
             // the next tick would re-sample a phantom copy.
-            self.health.stuck_request();
+            self.health.stuck_requests += 1;
         } else {
             self.monitor.req_fall();
         }
@@ -1306,23 +1278,18 @@ impl<'a> Runner<'a> {
         if self.pending_ack.is_none() {
             return; // stale retry; the handshake already resolved
         }
-        self.health.ack_retry();
-        if let Some(ts) = self.tel.as_deref_mut() {
-            if let Some(ls) = ts.lineage.as_mut() {
-                if let Some(idx) = ls.awaiting_ack {
-                    if let Some(r) = ls.log.get_mut(idx) {
-                        r.ack_retries += 1;
-                    }
-                }
-            }
+        self.health.ack_retries += 1;
+        let lineage = self.tel.as_deref_mut().and_then(|ts| ts.lineage.as_mut());
+        if let Some(r) = lineage.and_then(|ls| ls.log.last_mut()) {
+            r.ack_retries += 1;
         }
         if self.injector.lose_ack() {
-            self.health.lost_ack();
+            self.health.lost_acks += 1;
             if attempt + 1 >= self.watchdog.max_ack_retries {
                 // Give up: abort the transaction, drop the latch and
                 // move on. The event was already captured; only the
                 // handshake record is lost.
-                self.health.handshake_aborted();
+                self.health.handshakes_aborted += 1;
                 self.pending_ack = None;
                 if let Some(ts) = self.tel.as_deref_mut() {
                     if let Some(h) = ts.ack_recovery_open.take() {
@@ -1330,13 +1297,10 @@ impl<'a> Runner<'a> {
                     }
                     if let Some(h) = ts.handshake_open.take() {
                         // The handshake never completed; the span ends
-                        // at the abort.
+                        // at the abort. ACK never rose for this event;
+                        // its record keeps `ack_rise()` = None as the
+                        // abort marker.
                         ts.tel.spans.close(h, t);
-                    }
-                    if let Some(ls) = ts.lineage.as_mut() {
-                        // ACK never rose for this event; its record
-                        // keeps `ack_rise()` = None as the abort marker.
-                        ls.awaiting_ack = None;
                     }
                 }
                 self.sender.abort(t);
@@ -1351,7 +1315,7 @@ impl<'a> Runner<'a> {
                     .expect("ack retry is in the future");
             }
         } else {
-            self.health.ack_recovered();
+            self.health.acks_recovered += 1;
             self.pending_ack = None;
             if let Some(ts) = self.tel.as_deref_mut() {
                 if let Some(h) = ts.ack_recovery_open.take() {
@@ -1369,13 +1333,13 @@ impl<'a> Runner<'a> {
         if !self.fsm.is_asleep() {
             return; // stale check; something else woke the clock
         }
-        self.health.wake_retry();
+        self.health.wake_retries += 1;
         if attempt >= self.watchdog.max_wake_retries {
-            self.health.forced_wake();
+            self.health.forced_wakes += 1;
             self.enter_degraded();
             self.on_wake_done(t);
         } else if self.injector.fail_wake() {
-            self.health.wake_failure();
+            self.health.wake_failures += 1;
             self.queue
                 .schedule_at(t + self.watchdog.wake_timeout, Ev::WakeCheck(attempt + 1))
                 .expect("wake check is in the future");
@@ -1387,11 +1351,10 @@ impl<'a> Runner<'a> {
     /// Clamps `N_div` and pins the clock on: latency stays bounded at
     /// the cost of the paper's energy proportionality.
     fn enter_degraded(&mut self) {
-        if self.degraded {
+        if self.health.degraded {
             return;
         }
-        self.degraded = true;
-        self.health.entered_degraded();
+        self.health.degraded = true;
         // From here on, losses at a full buffer are the watchdog
         // fallback's fault, not ordinary congestion.
         self.fifo.set_degraded(true);
@@ -1407,23 +1370,19 @@ impl<'a> Runner<'a> {
         self.queue.schedule_at(done, Ev::FrameDone).expect("frame completes in the future");
     }
 
-    /// Pops the oldest one or two buffered events, routes them out
-    /// through the crossbar and sends them as one I2S frame starting at
-    /// `start` (the link must be idle by then); returns when the frame
-    /// ends. An injected receiver-side slip then drops the frame, and
+    /// Pops the oldest one or two buffered events and sends them as one
+    /// I2S frame starting at `start` (the link must be idle by then);
+    /// returns when the frame ends. An injected receiver-side slip then drops the frame, and
     /// the lineage layer marks its events lost instead of delivered.
     fn send_frame(&mut self, start: SimTime) -> SimTime {
         let first = self.fifo.pop().expect("caller checked non-empty");
-        self.crossbar.route(SourcePort::BufferOut, first.to_word());
         let second = self.fifo.pop();
-        if let Some(s) = second {
-            self.crossbar.route(SourcePort::BufferOut, s.to_word());
-        }
         let done = self.i2s.send_pair(start, first, second).expect("frames never overlap");
         let mut slipped = false;
         if self.injector.slip_frame() {
             if let Some(frame) = self.i2s.drop_last_frame() {
-                self.health.frame_slip(frame.events().count() as u64);
+                self.health.frame_slips += 1;
+                self.health.events_lost_to_slips += frame.events().count() as u64;
                 slipped = true;
             }
         }

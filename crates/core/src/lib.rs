@@ -18,7 +18,7 @@
 //! * [`quantizer`] — the fast behavioral model (the paper's Matlab
 //!   equivalent): spike train in, AETR events + clock activity out.
 //! * [`interface`] — the full discrete-event simulation of the Fig. 3
-//!   architecture: [`front_end`], [`fifo`], [`crossbar`], [`i2s`],
+//!   architecture: [`front_end`], [`fifo`], [`i2s`],
 //!   [`config_bus`]/[`spi`], driven by the pausable clock generator.
 //! * [`mcu`] — the downstream consumer: I2S decode, timeline
 //!   reconstruction, end-to-end fidelity reporting.
@@ -55,7 +55,6 @@ pub mod aetr_format;
 pub mod campaign;
 pub mod cdc_fifo;
 pub mod config_bus;
-pub mod crossbar;
 pub mod fifo;
 pub mod front_end;
 pub mod i2s;

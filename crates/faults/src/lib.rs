@@ -111,8 +111,11 @@ pub struct FaultRates {
     pub fifo_bit_flip: f64,
     /// The I2S receiver slips (loses) a transmitted frame.
     pub i2s_frame_slip: f64,
-    /// A single-bit upset on a Gray-coded CDC pointer in flight
-    /// (exercised by the `CdcFifo` hardening tests).
+    /// A single-bit upset on a Gray-coded CDC pointer in flight, drawn
+    /// through [`FaultInjector::upset_gray_bit`] by whoever drives a
+    /// standalone `CdcFifo`. The DES interface buffers in its
+    /// single-clock `AetrFifo` and never draws it, so in interface runs
+    /// this rate injects nothing.
     pub cdc_gray_upset: f64,
 }
 
@@ -139,7 +142,9 @@ impl FaultRates {
         FaultRates { stuck_req: rate, lost_ack: rate, malformed: rate, ..FaultRates::default() }
     }
 
-    /// A uniform rate on the datapath faults (campaign helper).
+    /// A uniform rate on the datapath faults (campaign helper). The CDC
+    /// Gray-pointer rate is set too, but only a standalone `CdcFifo`
+    /// draws it (see [`cdc_gray_upset`](FaultRates::cdc_gray_upset)).
     pub fn datapath(rate: f64) -> FaultRates {
         FaultRates {
             fifo_bit_flip: rate,
@@ -405,7 +410,8 @@ impl FaultInjector {
 }
 
 /// Typed counters describing everything that went wrong — and was
-/// recovered — during a run. All-zero in a nominal run.
+/// recovered — during a run. All-zero in a nominal run. The interface
+/// bumps the public fields directly as each fault or recovery happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct InterfaceHealthReport {
     /// `ACK` edges the sensor missed (initial losses and re-losses).
@@ -445,7 +451,9 @@ pub struct InterfaceHealthReport {
     pub frame_slips: u64,
     /// Events carried by those slipped frames.
     pub events_lost_to_slips: u64,
-    /// Gray-pointer upsets injected on the CDC crossing.
+    /// Gray-pointer upsets injected on a CDC crossing. Always 0 in
+    /// interface runs, whose datapath has no CDC FIFO (see
+    /// [`FaultRates::cdc_gray_upset`]).
     pub cdc_upsets: u64,
     /// `true` once the interface clamped `N_div` and gave up sleeping.
     pub degraded: bool,
@@ -538,111 +546,6 @@ impl fmt::Display for InterfaceHealthReport {
             self.events_lost_to_slips,
             self.cdc_upsets,
         )
-    }
-}
-
-/// Accumulates [`InterfaceHealthReport`] counters as a run progresses.
-#[derive(Debug, Clone, Default)]
-pub struct HealthMonitor {
-    report: InterfaceHealthReport,
-}
-
-impl HealthMonitor {
-    /// Creates a monitor with all counters at zero.
-    pub fn new() -> HealthMonitor {
-        HealthMonitor::default()
-    }
-
-    /// The report accumulated so far.
-    pub fn report(&self) -> InterfaceHealthReport {
-        self.report
-    }
-
-    /// Records a missed `ACK` edge.
-    pub fn lost_ack(&mut self) {
-        self.report.lost_acks += 1;
-    }
-
-    /// Records a watchdog `ACK` re-drive.
-    pub fn ack_retry(&mut self) {
-        self.report.ack_retries += 1;
-    }
-
-    /// Records a handshake completed by a re-driven `ACK`.
-    pub fn ack_recovered(&mut self) {
-        self.report.acks_recovered += 1;
-    }
-
-    /// Records a handshake abandoned after the retry budget.
-    pub fn handshake_aborted(&mut self) {
-        self.report.handshakes_aborted += 1;
-    }
-
-    /// Records a `REQ` stuck high.
-    pub fn stuck_request(&mut self) {
-        self.report.stuck_requests += 1;
-    }
-
-    /// Records a phantom sample discarded.
-    pub fn spurious_sample(&mut self) {
-        self.report.spurious_samples += 1;
-    }
-
-    /// Records a malformed transaction.
-    pub fn malformed(&mut self) {
-        self.report.malformed_transactions += 1;
-    }
-
-    /// Records a failed oscillator wake.
-    pub fn wake_failure(&mut self) {
-        self.report.wake_failures += 1;
-    }
-
-    /// Records a watchdog wake re-check.
-    pub fn wake_retry(&mut self) {
-        self.report.wake_retries += 1;
-    }
-
-    /// Records a forced (watchdog-driven) wake.
-    pub fn forced_wake(&mut self) {
-        self.report.forced_wakes += 1;
-    }
-
-    /// Records a scheduled oscillator stall firing.
-    pub fn oscillator_stall(&mut self) {
-        self.report.oscillator_stalls += 1;
-    }
-
-    /// Records a FIFO word upset.
-    pub fn fifo_bit_flip(&mut self) {
-        self.report.fifo_bit_flips += 1;
-    }
-
-    /// Records an event lost at a full FIFO, attributed to degraded
-    /// mode when the watchdog fallback was active at the time.
-    pub fn fifo_drop(&mut self, degraded: bool) {
-        self.report.fifo_drops += 1;
-        if degraded {
-            self.report.fifo_drops_degraded += 1;
-        } else {
-            self.report.fifo_drops_overflow += 1;
-        }
-    }
-
-    /// Records a slipped I2S frame carrying `events` events.
-    pub fn frame_slip(&mut self, events: u64) {
-        self.report.frame_slips += 1;
-        self.report.events_lost_to_slips += events;
-    }
-
-    /// Records a CDC Gray-pointer upset.
-    pub fn cdc_upset(&mut self) {
-        self.report.cdc_upsets += 1;
-    }
-
-    /// Records entry into degraded clocking.
-    pub fn entered_degraded(&mut self) {
-        self.report.degraded = true;
     }
 }
 
@@ -761,15 +664,17 @@ mod tests {
 
     #[test]
     fn health_report_display_and_classifiers() {
-        let mut monitor = HealthMonitor::new();
-        assert!(monitor.report().is_nominal());
-        assert_eq!(monitor.report().to_string(), "nominal");
-        monitor.lost_ack();
-        monitor.ack_retry();
-        monitor.ack_recovered();
-        monitor.frame_slip(2);
-        monitor.entered_degraded();
-        let report = monitor.report();
+        assert!(InterfaceHealthReport::default().is_nominal());
+        assert_eq!(InterfaceHealthReport::default().to_string(), "nominal");
+        let report = InterfaceHealthReport {
+            lost_acks: 1,
+            ack_retries: 1,
+            acks_recovered: 1,
+            frame_slips: 1,
+            events_lost_to_slips: 2,
+            degraded: true,
+            ..InterfaceHealthReport::default()
+        };
         assert!(!report.is_nominal());
         assert_eq!(report.faults_injected(), 2, "lost ACK + frame slip");
         assert_eq!(report.events_lost(), 2);

@@ -64,8 +64,6 @@ pub enum DropCause {
     /// Transmitted, but lost to an injected receiver-side I2S frame
     /// slip.
     FrameSlip,
-    /// The crossbar did not route the front-end word into the buffer.
-    NotRouted,
 }
 
 impl DropCause {
@@ -77,7 +75,6 @@ impl DropCause {
             DropCause::Degraded => "degraded",
             DropCause::Displaced => "displaced",
             DropCause::FrameSlip => "frame-slip",
-            DropCause::NotRouted => "not-routed",
         }
     }
 }
@@ -367,6 +364,11 @@ impl LineageLog {
     /// fill in downstream stages as they happen).
     pub fn get_mut(&mut self, index: u32) -> Option<&mut EventLineage> {
         self.records.get_mut(index as usize)
+    }
+
+    /// Mutable access to the newest record.
+    pub fn last_mut(&mut self) -> Option<&mut EventLineage> {
+        self.records.last_mut()
     }
 
     /// Record by capture index.

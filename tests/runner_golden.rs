@@ -12,7 +12,7 @@
 
 use aetr::campaign::FaultSurface;
 use aetr::config_bus::Register;
-use aetr::fifo::FifoConfig;
+use aetr::fifo::{FifoConfig, OverflowPolicy};
 use aetr::interface::{
     AerToI2sInterface, InterfaceConfig, InterfaceReport, SimEngine, TelemetryConfig,
 };
@@ -22,6 +22,7 @@ use aetr_aer::spike::{Spike, SpikeTrain};
 use aetr_clockgen::config::{ClockGenConfig, DivisionPolicy};
 use aetr_faults::{FaultKind, FaultPlan};
 use aetr_sim::time::{SimDuration, SimTime};
+use aetr_telemetry::lineage::DropCause;
 
 /// FNV-1a 64 over `bytes`, continuing from `hash`.
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
@@ -156,6 +157,39 @@ fn all_surface_faults_with_a_stuck_oscillator_match_the_recorded_reports() {
         };
         let case = Case { config, plan, telemetry: full_telemetry(), ..Case::new(train, 40) };
         assert_eq!(case.fingerprint(), pin, "rate {rate}");
+    }
+}
+
+#[test]
+fn drop_oldest_overflow_matches_the_recorded_reports() {
+    // A 16-event buffer at 2 Mevt/s: the oldest buffered events are
+    // displaced over and over, fault-free and with every fault class
+    // on plus a stalled oscillator.
+    let config = InterfaceConfig {
+        fifo: FifoConfig {
+            capacity_bytes: 64,
+            watermark: 12,
+            overflow: OverflowPolicy::DropOldest,
+        },
+        ..InterfaceConfig::prototype()
+    };
+    let faulty = FaultPlan::nominal(42)
+        .with_rates(FaultSurface::All.rates(0.5))
+        .schedule(SimTime::from_ms(2), FaultKind::StuckOscillator);
+    let expected =
+        [(FaultPlan::nominal(0), 10_937_653_996_221_943_491), (faulty, 11_220_882_678_290_382_609)];
+    for (plan, pin) in expected {
+        let train = PoissonGenerator::new(2_000_000.0, 64, 1).generate(SimTime::from_ms(5));
+        let case = Case { config, plan, telemetry: full_telemetry(), ..Case::new(train, 5) };
+        let report = AerToI2sInterface::new(config).expect("valid config").run_with_telemetry(
+            &case.train,
+            case.horizon,
+            &case.plan,
+            &case.telemetry,
+        );
+        let displaced = report.telemetry.lineage.records().iter();
+        assert!(displaced.filter(|r| r.drop_cause == DropCause::Displaced).count() > 1_000);
+        assert_eq!(case.fingerprint(), pin);
     }
 }
 
