@@ -17,9 +17,9 @@ use serde::{Deserialize, Serialize};
 use aetr_sim::time::{SimDuration, SimTime};
 
 use crate::address::Address;
-use crate::spike::Spike;
+use crate::spike::{Spike, SpikeTrain};
 
-use super::SpikeSource;
+use super::{collect_until, SpikeSource};
 
 /// A 32-bit Galois linear-feedback shift register (taps 32, 30, 26, 25;
 /// maximal-length polynomial `0xA3000000` in Galois form).
@@ -44,12 +44,42 @@ impl Lfsr {
     /// Galois feedback mask for taps (32, 30, 26, 25).
     const TAPS: u32 = 0xA300_0000;
 
+    /// Eight steps at once: the register after stepping from `s` is
+    /// `(s >> 8) ^ BYTE_STEP[s & 0xff]`, and the eight output bits are
+    /// `s & 0xff`.
+    ///
+    /// Every tap sits at bit 24 or above, and a feedback XOR moves down
+    /// one bit per step, so within eight steps none reaches bit 0: the
+    /// outputs are the state's low byte as it stands. The feedback of
+    /// step `j` (output bit `j` set) is `TAPS` shifted right by the
+    /// `7 − j` steps still to come.
+    const BYTE_STEP: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut byte = 0;
+        while byte < 256 {
+            let mut j = 0;
+            while j < 8 {
+                if (byte >> j) & 1 != 0 {
+                    table[byte] ^= Self::TAPS >> (7 - j);
+                }
+                j += 1;
+            }
+            byte += 1;
+        }
+        table
+    };
+
     /// Creates an LFSR. A zero seed (the lock-up state) is mapped to 1.
     pub fn new(seed: u32) -> Lfsr {
         Lfsr { state: if seed == 0 { 1 } else { seed } }
     }
 
     /// Advances one step and returns the output bit.
+    ///
+    /// This is the bit-serial reference that [`next_bits`]'
+    /// byte-at-a-time stepping is tested against.
+    ///
+    /// [`next_bits`]: Lfsr::next_bits
     pub fn next_bit(&mut self) -> bool {
         let out = self.state & 1 != 0;
         self.state >>= 1;
@@ -62,14 +92,26 @@ impl Lfsr {
     /// Gathers `n` successive output bits into the low bits of a `u32`
     /// (first bit is the LSB).
     ///
+    /// Whole bytes are stepped eight bits at a time through a lookup
+    /// table, the remainder one bit at a time; the bits and the final
+    /// state are those of `n` calls to [`next_bit`](Lfsr::next_bit).
+    ///
     /// # Panics
     ///
     /// Panics if `n > 32`.
     pub fn next_bits(&mut self, n: u32) -> u32 {
         assert!(n <= 32, "cannot gather more than 32 bits, asked for {n}");
         let mut v = 0;
-        for i in 0..n {
+        let mut i = 0;
+        while i + 8 <= n {
+            let byte = self.state & 0xff;
+            v |= byte << i;
+            self.state = (self.state >> 8) ^ Self::BYTE_STEP[byte as usize];
+            i += 8;
+        }
+        while i < n {
             v |= (self.next_bit() as u32) << i;
+            i += 1;
         }
         v
     }
@@ -153,6 +195,16 @@ impl LfsrGenerator {
 }
 
 impl SpikeSource for LfsrGenerator {
+    /// Collects every spike strictly before `until`, pre-sized from the
+    /// nominal rate: the mean interval is held at the nominal period,
+    /// so the count misses `(until − now) / period` by at most a few
+    /// spikes.
+    fn generate(&mut self, until: SimTime) -> SpikeTrain {
+        let span = until.saturating_duration_since(self.now).as_ps();
+        let expected = span / self.nominal_period.as_ps().max(1);
+        collect_until(self, until, expected.saturating_add(2) as usize)
+    }
+
     fn next_spike(&mut self) -> Option<Spike> {
         // 16 LFSR bits -> uniform factor in [1 - jitter, 1 + jitter].
         let raw = self.lfsr.next_bits(16) as f64 / 65_535.0; // [0, 1]

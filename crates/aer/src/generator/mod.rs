@@ -42,19 +42,32 @@ pub trait SpikeSource {
     /// but not included; bounded experiment drivers accept that, and it
     /// keeps the trait object-safe and allocation-free for streaming
     /// use.
+    ///
+    /// The train is built on the thread's recycled spike storage (see
+    /// [`SpikeTrain::with_capacity`]).
     fn generate(&mut self, until: SimTime) -> SpikeTrain
     where
         Self: Sized,
     {
-        let mut spikes = Vec::new();
-        while let Some(s) = self.next_spike() {
-            if s.time >= until {
-                break;
-            }
-            spikes.push(s);
-        }
-        SpikeTrain::from_sorted(spikes).expect("spike sources must be time-ordered")
+        collect_until(self, until, 0)
     }
+}
+
+/// [`SpikeSource::generate`] with a capacity hint, for sources that can
+/// estimate their spike count.
+///
+/// # Panics
+///
+/// Panics if the source yields a spike earlier than its predecessor.
+fn collect_until<S: SpikeSource>(source: &mut S, until: SimTime, capacity: usize) -> SpikeTrain {
+    let mut train = SpikeTrain::with_capacity(capacity);
+    while let Some(s) = source.next_spike() {
+        if s.time >= until {
+            break;
+        }
+        train.push(s);
+    }
+    train
 }
 
 /// Adapter exposing any `SpikeSource` as an `Iterator`.

@@ -13,11 +13,13 @@
 //! completed handshake, and the CAVIAR timing compliance check the
 //! paper cites (every event must complete within 700 ns).
 
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use aetr_sim::spare;
 use aetr_sim::time::{SimDuration, SimTime};
 
 use crate::address::Address;
@@ -132,8 +134,18 @@ impl fmt::Display for CaviarViolation {
 
 impl Error for CaviarViolation {}
 
+thread_local! {
+    // A dropped log's storage; see `aetr_sim::spare`. A dense 100 ms
+    // run logs 40 000 transactions, 1.9 MB.
+    static SPARE_TRANSACTIONS: Cell<Vec<Transaction>> = const { Cell::new(Vec::new()) };
+}
+
 /// Log of completed handshakes with protocol/timing verification and
 /// summary statistics.
+///
+/// A dropped log retires its storage into a per-thread spare slot that
+/// [`HandshakeLog::with_capacity`] on the same thread takes back (see
+/// [`aetr_sim::spare`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HandshakeLog {
     transactions: Vec<Transaction>,
@@ -146,9 +158,10 @@ impl HandshakeLog {
     }
 
     /// Creates an empty log with room for `capacity` transactions, so
-    /// a runner that knows its stimulus size never reallocates.
+    /// a runner that knows its stimulus size never reallocates, on the
+    /// thread's recycled storage when there is one.
     pub fn with_capacity(capacity: usize) -> HandshakeLog {
-        HandshakeLog { transactions: Vec::with_capacity(capacity) }
+        HandshakeLog { transactions: spare::take(&SPARE_TRANSACTIONS, capacity) }
     }
 
     /// Appends a completed transaction.
@@ -209,6 +222,13 @@ impl HandshakeLog {
     /// Longest sensor-side queuing delay observed (backpressure).
     pub fn max_queue_delay(&self) -> Option<SimDuration> {
         self.transactions.iter().map(Transaction::queue_delay).max()
+    }
+}
+
+impl Drop for HandshakeLog {
+    /// Retires the storage into the thread's spare slot (largest kept).
+    fn drop(&mut self) {
+        spare::retire(&mut self.transactions, &SPARE_TRANSACTIONS);
     }
 }
 

@@ -8,12 +8,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use aetr_aer::spike::SpikeTrain;
+use aetr_aer::spike::{Spike, SpikeTrain};
 use aetr_sim::time::{SimDuration, SimTime};
 
 use crate::aetr_format::AetrEvent;
-use crate::i2s::{decode_frames, I2sStream};
-use crate::quantizer::reconstruct_train;
+use crate::i2s::{decode_frames, I2sFrame, I2sStream};
+use crate::quantizer::cumulate;
 
 /// The MCU-side receiver: an I2S peripheral plus the AETR decoder.
 ///
@@ -69,8 +69,12 @@ impl McuReceiver {
     /// Decodes and reconstructs the spike timeline (relative to time
     /// zero — absolute time is unknowable from deltas alone, and
     /// irrelevant for batch processing).
+    ///
+    /// The train is built on the thread's recycled spike storage (see
+    /// [`SpikeTrain::with_capacity`]).
     pub fn receive(&self, stream: &I2sStream) -> SpikeTrain {
-        reconstruct_train(&self.decode(stream), self.base_period, SimTime::ZERO)
+        let events = stream.frames().iter().flat_map(I2sFrame::events);
+        cumulate(events, 2 * stream.len(), self.base_period, SimTime::ZERO)
     }
 
     /// Decodes and reconstructs with *arrival anchoring*: fine
@@ -82,9 +86,10 @@ impl McuReceiver {
     /// resolution.
     ///
     /// The result is clamped monotone (an anchor can never move time
-    /// backwards past already-placed events).
+    /// backwards past already-placed events). Like
+    /// [`receive`](Self::receive), it is built on recycled storage.
     pub fn receive_anchored(&self, stream: &I2sStream) -> SpikeTrain {
-        let mut spikes = Vec::new();
+        let mut train = SpikeTrain::with_capacity(2 * stream.len());
         let mut t = SimTime::ZERO;
         for frame in stream.frames() {
             for event in frame.events() {
@@ -100,10 +105,12 @@ impl McuReceiver {
                 } else {
                     by_delta
                 };
-                spikes.push(aetr_aer::spike::Spike::new(t, event.addr));
+                // Anchoring preserves monotonicity, so the push never
+                // panics.
+                train.push(Spike::new(t, event.addr));
             }
         }
-        SpikeTrain::from_sorted(spikes).expect("anchoring preserves monotonicity")
+        train
     }
 }
 
@@ -133,18 +140,23 @@ impl FidelityReport {
     /// [`IsiErrorSample::relative_error`]:
     ///     crate::quantizer::IsiErrorSample::relative_error
     pub fn compare(original: &SpikeTrain, reconstructed: &SpikeTrain) -> FidelityReport {
-        let mut errors = Vec::new();
+        // One pass, no error vector. The sum starts at -0.0 and the max
+        // at 0.0 and both fold in interval order, exactly as
+        // `Iterator::sum` and `fold(0.0, f64::max)` over the collected
+        // errors did, so the report is bit-identical.
+        let (mut sum, mut count, mut max) = (-0.0f64, 0usize, 0.0f64);
         for (t, r) in original.inter_spike_intervals().zip(reconstructed.inter_spike_intervals()) {
             let truth = t.as_secs_f64();
             let rec = r.as_secs_f64();
             let denom = truth.max(rec);
             if denom > 0.0 {
-                errors.push((rec - truth).abs() / denom);
+                let error = (rec - truth).abs() / denom;
+                sum += error;
+                count += 1;
+                max = max.max(error);
             }
         }
-        let mean =
-            if errors.is_empty() { 0.0 } else { errors.iter().sum::<f64>() / errors.len() as f64 };
-        let max = errors.iter().cloned().fold(0.0f64, f64::max);
+        let mean = if count == 0 { 0.0 } else { sum / count as f64 };
         FidelityReport {
             sent: original.len(),
             received: reconstructed.len(),
@@ -279,6 +291,58 @@ mod tests {
         assert_eq!(report.mean_isi_error, 0.0);
         assert_eq!(report.accuracy(), 1.0);
         assert_eq!(report.loss_ratio(), 0.0);
+    }
+
+    /// `compare` as it was before it became one pass: the errors
+    /// collected, then summed and max-folded.
+    fn compare_collected(original: &SpikeTrain, reconstructed: &SpikeTrain) -> FidelityReport {
+        let mut errors = Vec::new();
+        for (t, r) in original.inter_spike_intervals().zip(reconstructed.inter_spike_intervals()) {
+            let (truth, rec) = (t.as_secs_f64(), r.as_secs_f64());
+            let denom = truth.max(rec);
+            if denom > 0.0 {
+                errors.push((rec - truth).abs() / denom);
+            }
+        }
+        let mean =
+            if errors.is_empty() { 0.0 } else { errors.iter().sum::<f64>() / errors.len() as f64 };
+        let max = errors.iter().cloned().fold(0.0f64, f64::max);
+        FidelityReport {
+            sent: original.len(),
+            received: reconstructed.len(),
+            mean_isi_error: mean,
+            max_isi_error: max,
+        }
+    }
+
+    #[test]
+    fn one_pass_compare_is_bit_identical_to_the_collected_errors() {
+        use crate::interface::{AerToI2sInterface, InterfaceConfig};
+        use aetr_aer::generator::LfsrGenerator;
+
+        let one = PoissonGenerator::new(1_000.0, 8, 3).generate(SimTime::from_ms(5));
+        let one = SpikeTrain::from_sorted(one.as_slice()[..1].to_vec()).unwrap();
+        let equal = PoissonGenerator::new(10_000.0, 8, 2).generate(SimTime::from_ms(20));
+        // Past I2S saturation the FIFO overflows, so the MCU receives
+        // fewer events than were sent and the intervals misalign.
+        let horizon = SimTime::from_ms(10);
+        let sent = LfsrGenerator::new(700_000.0, 11).generate(horizon);
+        let interface = AerToI2sInterface::new(InterfaceConfig::prototype()).unwrap();
+        let report = interface.run(&sent, horizon);
+        assert!(report.fifo_stats.dropped > 0, "a lossy run");
+        let lossy = McuReceiver::new(interface.config().clock.base_sampling_period())
+            .with_saturation(960)
+            .receive_anchored(&report.i2s);
+        let empty = SpikeTrain::new();
+        for (original, rebuilt) in
+            [(&empty, &empty), (&one, &one), (&one, &empty), (&equal, &equal), (&sent, &lossy)]
+        {
+            let (got, want) =
+                (FidelityReport::compare(original, rebuilt), compare_collected(original, rebuilt));
+            assert_eq!((got.sent, got.received), (want.sent, want.received));
+            assert_eq!(got.mean_isi_error.to_bits(), want.mean_isi_error.to_bits());
+            assert_eq!(got.max_isi_error.to_bits(), want.max_isi_error.to_bits());
+        }
     }
 
     #[test]

@@ -168,13 +168,25 @@ pub fn reconstruct_train(
     base_period: SimDuration,
     origin: SimTime,
 ) -> SpikeTrain {
+    cumulate(events.iter().copied(), events.len(), base_period, origin)
+}
+
+/// [`reconstruct_train`] over any event sequence, on the thread's
+/// recycled spike storage with room for `capacity` spikes.
+pub(crate) fn cumulate(
+    events: impl Iterator<Item = AetrEvent>,
+    capacity: usize,
+    base_period: SimDuration,
+    origin: SimTime,
+) -> SpikeTrain {
     let mut t = origin;
-    let mut spikes = Vec::with_capacity(events.len());
+    let mut train = SpikeTrain::with_capacity(capacity);
     for e in events {
+        // Cumulative sums are monotone, so the push never panics.
         t = t.saturating_add(e.timestamp.to_interval(base_period));
-        spikes.push(Spike::new(t, e.addr));
+        train.push(Spike::new(t, e.addr));
     }
-    SpikeTrain::from_sorted(spikes).expect("cumulative sums are monotone")
+    train
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! O(1) tombstone cancellation ([`queue`]), a fixed-slot scheduler that
 //! pops the same `(time, seq)` order for models with at most one pending
 //! event per kind ([`slots`]), signal tracing ([`trace`]),
-//! VCD waveform export ([`vcd`]), and a deterministic parallel executor
-//! for independent sweep points ([`parallel`]).
+//! VCD waveform export ([`vcd`]), a deterministic parallel executor
+//! for independent sweep points ([`parallel`]), and per-thread recycling
+//! of per-run buffers ([`spare`]).
 //!
 //! Each simulation is single-threaded and allocation-light by design:
 //! the DAC'17 experiments must be exactly reproducible, so the kernel
@@ -51,6 +52,7 @@
 pub mod parallel;
 pub mod queue;
 pub mod slots;
+pub mod spare;
 pub mod stats;
 pub mod time;
 pub mod trace;

@@ -32,7 +32,6 @@ pub mod profile;
 pub mod registry;
 pub mod sampler;
 pub mod span;
-mod spare;
 
 use aetr_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};

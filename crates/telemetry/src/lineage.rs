@@ -40,10 +40,10 @@ use std::cell::Cell;
 
 use serde::{Deserialize, Serialize};
 
+use aetr_sim::spare;
 use aetr_sim::time::{SimDuration, SimTime};
 
 use crate::json::Json;
-use crate::spare;
 
 /// Why an event never reached the I2S stream (or `Delivered` if it
 /// did / still can).
@@ -316,7 +316,7 @@ impl EventLineage {
 }
 
 thread_local! {
-    // The log's retired backing buffer; see `crate::spare`. A dense
+    // The log's retired backing buffer; see `aetr_sim::spare`. A dense
     // run's record storage is hundreds of kilobytes.
     static SPARE_RECORDS: Cell<Vec<EventLineage>> = const { Cell::new(Vec::new()) };
 }

@@ -14,10 +14,9 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
+use aetr_sim::spare;
 use aetr_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-use crate::spare;
 
 /// What kind of activity a span describes.
 ///
@@ -89,7 +88,7 @@ pub struct OpenSpan(usize);
 
 thread_local! {
     // The log's retired buffers (completed spans, open spans); see
-    // `crate::spare`. A speech utterance logs tens of thousands of spans.
+    // `aetr_sim::spare`. A speech utterance logs tens of thousands of spans.
     static SPARE_SPANS: Cell<Vec<Span>> = const { Cell::new(Vec::new()) };
     static SPARE_OPEN: Cell<Vec<Span>> = const { Cell::new(Vec::new()) };
 }

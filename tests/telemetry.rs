@@ -157,7 +157,7 @@ fn live_sampler_tracks_rate_power_divider_and_depth() {
         &FaultPlan::nominal(0),
         &TelemetryConfig::with_cadence(cadence),
     );
-    let series = report.telemetry.series;
+    let series = report.telemetry.series.clone();
     assert_eq!(series.cadence(), cadence);
     // One sample per cadence across the whole horizon: 10 ms / 100 µs.
     assert_eq!(series.len(), 100);
