@@ -98,6 +98,74 @@ pub struct IdleAdvance {
     pub next_tick: Option<SimTime>,
 }
 
+/// The quiet tick chain from the reset divider position to shutdown,
+/// precomputed once per clock configuration
+/// ([`SamplerFsm::idle_chain`]) and replayed in O(1) by
+/// [`SamplerFsm::replay_idle_chain`].
+///
+/// After a capture the FSM sits at the reset position (`cnt_sample = 0`,
+/// `cnt_div = 0`, multiplier 1), and with no request in sight it walks
+/// the same θ_div·(N_div + 1) quiet ticks to shutdown every time. The
+/// walk depends on the configuration and the divider position alone,
+/// and it is shift-invariant: started at `t` instead of time zero, every
+/// tick lands `t` later. So the chain is computed once, from time zero,
+/// and replayed at any `t` whose shifted shutdown tick does not
+/// overflow. The counter is the only state that differs between
+/// replays; `k` clamped adds equal one clamped add of their sum (see
+/// [`SamplerFsm::advance_idle`]), so it takes one add of the chain's
+/// total increment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IdleChain {
+    /// The configuration the chain was computed for.
+    theta_div: u32,
+    n_div: u32,
+    policy: DivisionPolicy,
+    /// Segments from a first tick at time zero, one per level; the
+    /// last one ends in the shutdown, at `cnt_div = N_div`.
+    segments: Vec<IdleSegment>,
+    /// Each boundary after the first as the level it opens: the new
+    /// multiplier and the time until the next boundary.
+    levels: Vec<(u64, SimDuration)>,
+    /// Offset of the shutdown tick.
+    shutdown: SimDuration,
+    /// Counter increment over the whole chain (saturated).
+    increment: u64,
+}
+
+impl IdleChain {
+    /// The chain's segments for a first tick at `first_tick`: exactly
+    /// those [`SamplerFsm::advance_idle_into`] produces when the chain
+    /// applies.
+    pub fn segments_from(&self, first_tick: SimTime) -> impl Iterator<Item = IdleSegment> + '_ {
+        self.segments.iter().map(move |seg| IdleSegment {
+            first_tick: first_tick
+                .saturating_add(seg.first_tick.saturating_duration_since(SimTime::ZERO)),
+            last_tick: first_tick
+                .saturating_add(seg.last_tick.saturating_duration_since(SimTime::ZERO)),
+            ..*seg
+        })
+    }
+
+    /// Offset of the first boundary tick (a division, or the shutdown
+    /// when `N_div = 0`) from the chain's first tick.
+    pub fn first_boundary(&self) -> SimDuration {
+        self.segments[0].last_tick.saturating_duration_since(SimTime::ZERO)
+    }
+
+    /// The levels the boundaries open, in order, each as its multiplier
+    /// and its span up to the next boundary: the shape
+    /// `PowerMeter::clock_levels_then_off` takes, from the first
+    /// boundary on. Empty when `N_div = 0`.
+    pub fn levels(&self) -> &[(u64, SimDuration)] {
+        &self.levels
+    }
+
+    /// Offset of the shutdown tick from the chain's first tick.
+    pub fn shutdown(&self) -> SimDuration {
+        self.shutdown
+    }
+}
+
 /// Snapshot of the divider state a capture happened under, read by the
 /// lineage layer *before* the capturing tick resets the FSM
 /// ([`SamplerFsm::capture_context`]).
@@ -332,15 +400,11 @@ impl SamplerFsm {
         loop {
             let period = self.current_period();
             // Ticks land at t, t+p, t+2p, …; those strictly before the
-            // barrier are ceil((barrier − t) / p) of them.
-            let gap = barrier.saturating_duration_since(t);
-            let mut avail =
-                if barrier > t { gap.as_ps().div_ceil(period.as_ps().max(1)) } else { 0 };
-            if forced {
-                avail = avail.max(1);
-                forced = false;
-            }
-            if avail == 0 {
+            // barrier are ceil((barrier − t) / p) of them (none when the
+            // barrier is at or before t), and at least one when forced.
+            let gap = barrier.saturating_duration_since(t).as_ps();
+            let p = period.as_ps().max(1);
+            if gap == 0 && !forced {
                 return Some(t);
             }
             let to_boundary = u64::from(self.theta_div - self.cnt_sample);
@@ -349,10 +413,21 @@ impl SamplerFsm {
                 DivisionPolicy::DivideOnly => self.cnt_div == self.n_div,
                 DivisionPolicy::Recursive | DivisionPolicy::Linear => false,
             };
-            if plateau || avail < to_boundary {
+            // The boundary tick `t + (to_boundary − 1)·p` is before the
+            // barrier iff `gap > (to_boundary − 1)·p`: one multiply
+            // decides it, and the exact tick count — a division — is
+            // needed only when the batch stops short of the boundary.
+            // (A saturated product exceeds every gap, as the exact one
+            // would.)
+            let reaches_boundary =
+                gap > (to_boundary - 1).saturating_mul(p) || (forced && to_boundary == 1);
+            forced = false;
+            if plateau || !reaches_boundary {
                 // No state-changing boundary inside the batch: either
                 // the policy plateaus (cnt_sample just wraps at θ_div)
-                // or the barrier arrives first.
+                // or the barrier arrives first. A zero gap got here only
+                // forced, for one tick.
+                let avail = gap.div_ceil(p).max(1);
                 self.step_counter(avail);
                 self.cnt_sample = if plateau {
                     ((u64::from(self.cnt_sample) + avail) % u64::from(self.theta_div)) as u32
@@ -401,6 +476,83 @@ impl SamplerFsm {
             });
             t = boundary_tick.saturating_add(self.current_period());
         }
+    }
+
+    /// The [`IdleChain`] of this FSM's configuration: the quiet walk
+    /// from the reset divider position to shutdown. `None` when the
+    /// policy never shuts down (`Never`, `DivideOnly`), or when the walk
+    /// does not fit the time range.
+    pub fn idle_chain(&self) -> Option<IdleChain> {
+        let mut walker = self.clone();
+        walker.asleep = false;
+        walker.reset_measurement();
+        let mut segments = Vec::new();
+        if walker.advance_idle_into(SimTime::ZERO, SimTime::MAX, &mut segments).is_some() {
+            return None;
+        }
+        let shutdown = segments.last()?.last_tick;
+        if shutdown == SimTime::MAX {
+            // A saturated walk: the shift argument does not hold.
+            return None;
+        }
+        let levels = segments
+            .windows(2)
+            .map(|w| (w[1].multiplier, w[1].last_tick.saturating_duration_since(w[0].last_tick)))
+            .collect();
+        let increment = segments
+            .iter()
+            .fold(0u64, |sum, seg| sum.saturating_add(seg.multiplier.saturating_mul(seg.ticks)));
+        Some(IdleChain {
+            theta_div: self.theta_div,
+            n_div: self.n_div,
+            policy: self.policy,
+            levels,
+            shutdown: shutdown.saturating_duration_since(SimTime::ZERO),
+            increment,
+            segments,
+        })
+    }
+
+    /// Replays `chain` as the quiet tick chain whose first tick is
+    /// `first_tick`: the FSM ends in the state
+    /// [`advance_idle_into`](SamplerFsm::advance_idle_into) would leave
+    /// it in, asleep, and the chain's
+    /// [`segments_from`](IdleChain::segments_from) are the segments it
+    /// would produce. Returns the shutdown tick.
+    ///
+    /// Applies only when the FSM sits at the chain's start (the reset
+    /// divider position) under the configuration the chain was computed
+    /// for, and `barrier` lies strictly after the shifted shutdown tick
+    /// (so every chain tick is due before it). Otherwise returns `None`
+    /// and leaves the FSM untouched; the caller then advances with
+    /// `advance_idle_into`. The check is a handful of compares: no
+    /// allocation, no copy of the FSM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called while asleep, like `on_tick`.
+    pub fn replay_idle_chain(
+        &mut self,
+        chain: &IdleChain,
+        first_tick: SimTime,
+        barrier: SimTime,
+    ) -> Option<SimTime> {
+        assert!(!self.asleep, "replay_idle_chain while the clock is stopped");
+        if self.cnt_sample != 0
+            || self.cnt_div != 0
+            || self.multiplier != 1
+            || self.theta_div != chain.theta_div
+            || self.n_div != chain.n_div
+            || self.policy != chain.policy
+        {
+            return None;
+        }
+        let shutdown = first_tick.checked_add(chain.shutdown).filter(|&s| s < barrier)?;
+        self.counter = self.counter.saturating_add(chain.increment).min(self.counter_max);
+        self.cnt_div = self.n_div;
+        self.multiplier = chain.segments[chain.segments.len() - 1].multiplier;
+        self.asleep = true;
+        Some(shutdown)
     }
 
     /// `ticks` quiet-tick counter increments at the current multiplier,

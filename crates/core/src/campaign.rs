@@ -189,13 +189,14 @@ impl FaultCampaign {
         self.run_with_jobs(fault_rates, 1)
     }
 
-    /// Like [`run`](Self::run), sharding the swept points over up to
-    /// `jobs` worker threads.
+    /// Like [`run`](Self::run), sharding the baseline and the swept
+    /// points over up to `jobs` worker threads.
     ///
-    /// Every point derives its fault stream from the campaign seed and
-    /// its own rate alone — no state flows between points — and
+    /// Every run derives its fault stream from the campaign seed and its
+    /// own rate alone — no state flows between runs — and
     /// [`par_map`] returns results in input order, so the result is
-    /// bit-identical to [`run`](Self::run) for any `jobs`.
+    /// bit-identical to [`run`](Self::run) for any `jobs`. The baseline
+    /// is one more run in the same batch, so no worker waits for it.
     pub fn run_with_jobs(&self, fault_rates: &[f64], jobs: usize) -> CampaignResult {
         let receiver = McuReceiver::new(self.config.interface.clock.base_sampling_period());
         let measure = |plan: &FaultPlan| -> (f64, f64, f64, InterfaceHealthReport) {
@@ -212,20 +213,29 @@ impl FaultCampaign {
 
         let nominal =
             FaultPlan::nominal(self.config.fault_seed).with_watchdog(self.config.watchdog);
-        let (baseline_accuracy, _, baseline_power_uw, _) = measure(&nominal);
+        // The baseline is item 0 of the batch, then the points in order.
+        let runs: Vec<Option<f64>> =
+            std::iter::once(None).chain(fault_rates.iter().copied().map(Some)).collect();
+        let mut measured = par_map(jobs, &runs, |_, run| match *run {
+            Some(rate) => measure(&nominal.clone().with_rates(self.config.surface.rates(rate))),
+            None => measure(&nominal),
+        })
+        .into_iter();
 
-        let points = par_map(jobs, fault_rates, |_, &rate| {
-            let plan = nominal.clone().with_rates(self.config.surface.rates(rate));
-            let (accuracy, loss_ratio, power_uw, health) = measure(&plan);
-            CampaignPoint {
-                fault_rate: rate,
+        let (baseline_accuracy, _, baseline_power_uw, _) =
+            measured.next().expect("the baseline is item 0");
+        let points = fault_rates
+            .iter()
+            .zip(measured)
+            .map(|(&fault_rate, (accuracy, loss_ratio, power_uw, health))| CampaignPoint {
+                fault_rate,
                 accuracy,
                 loss_ratio,
                 power_uw,
                 power_ratio: power_uw / baseline_power_uw,
                 health,
-            }
-        });
+            })
+            .collect();
 
         CampaignResult { baseline_accuracy, baseline_power_uw, points }
     }

@@ -25,7 +25,9 @@ use serde::{Deserialize, Serialize};
 use aetr_aer::handshake::{HandshakeLog, HandshakeSender, HandshakeTiming};
 use aetr_aer::spike::SpikeTrain;
 use aetr_clockgen::config::{ClockGenConfig, ClockGenConfigError};
-use aetr_clockgen::fsm::{CaptureContext, FsmAction, IdleBoundary, IdleSegment, SamplerFsm};
+use aetr_clockgen::fsm::{
+    CaptureContext, FsmAction, IdleBoundary, IdleChain, IdleSegment, SamplerFsm,
+};
 use aetr_faults::{FaultInjector, FaultKind, FaultPlan, InterfaceHealthReport, WatchdogConfig};
 use aetr_power::meter::PowerMeter;
 use aetr_power::model::{ActivityInput, PowerModel, PowerReport};
@@ -700,6 +702,10 @@ struct Runner<'a> {
     /// Reusable segment buffer for the fast-forward path, so a batch
     /// advance allocates nothing after warm-up.
     idle_segments: Vec<IdleSegment>,
+    /// The post-capture quiet chain of the FSM's current configuration,
+    /// recomputed after every `fsm.reconfigure` (`None` for policies
+    /// that never shut down).
+    idle_chain: Option<IdleChain>,
 
     /// Fault source (inert for an all-zero plan).
     injector: FaultInjector,
@@ -736,6 +742,7 @@ impl<'a> Runner<'a> {
     ) -> Runner<'a> {
         let cfg = &iface.config;
         let spikes = train.as_slice();
+        let fsm = SamplerFsm::new(&cfg.clock);
         let mut tel = TelState::new(telemetry);
         if let Some(ls) = tel.as_deref_mut().and_then(|ts| ts.lineage.as_mut()) {
             // One record per captured spike; reserving up front avoids
@@ -752,7 +759,8 @@ impl<'a> Runner<'a> {
             queue: SlotQueue::with_timeline(reconfigs.iter().map(|&(t, _, _)| t)),
             sender: HandshakeSender::over(spikes, cfg.handshake),
             monitor: InputMonitor::new(cfg.front_end),
-            fsm: SamplerFsm::new(&cfg.clock),
+            idle_chain: fsm.idle_chain(),
+            fsm,
             fifo: AetrFifo::new(cfg.fifo),
             // Two events per frame, plus one padded frame per odd-sized
             // drain; a recycled stream keeps whatever it grew to.
@@ -920,6 +928,7 @@ impl<'a> Runner<'a> {
                 // with the new parameters from its next edge; if it is
                 // asleep, the next wake re-enters at T_min as before.
                 self.fsm.reconfigure(&new_clock);
+                self.idle_chain = self.fsm.idle_chain();
             }
         }
     }
@@ -1019,6 +1028,14 @@ impl<'a> Runner<'a> {
     /// next interesting instant, replaying the side effects of the
     /// skipped ticks segment-wise.
     ///
+    /// An isolated event's chain — from the post-capture reset position
+    /// all the way to shutdown, with the barrier past it — is replayed
+    /// from the precomputed [`IdleChain`] in O(1): one FSM jump, one
+    /// meter call for all levels (per segment when telemetry records
+    /// samples and residency), one clock advance. Anything else (the
+    /// barrier inside the chain, a mid-chain start after an SPI write,
+    /// a never-stopping policy) takes `advance_idle_into`.
+    ///
     /// The barrier is the earliest of: the next queue event (while
     /// input remains, the pending `ReqRise` bounds it), the next
     /// scheduled fault, and — once the input is exhausted — the
@@ -1039,33 +1056,49 @@ impl<'a> Runner<'a> {
         if self.sender.is_done() {
             barrier = barrier.min(self.horizon);
         }
-        let mut segments = std::mem::take(&mut self.idle_segments);
-        let next_tick = self.fsm.advance_idle_into(t, barrier, &mut segments);
-        for seg in &segments {
-            match seg.boundary {
-                IdleBoundary::None => {
-                    // Samples due past the last tick are emitted by the
-                    // next event's `sample_until` — the FSM already
-                    // carries this segment's multiplier.
+        if let Some(chain) = &self.idle_chain {
+            if let Some(shutdown) = self.fsm.replay_idle_chain(chain, t, barrier) {
+                if self.tel.is_none() {
+                    self.meter.clock_levels_then_off(t + chain.first_boundary(), chain.levels());
+                } else {
+                    let chain = self.idle_chain.take().expect("a chain was replayed");
+                    self.narrate_segments(chain.segments_from(t));
+                    self.idle_chain = Some(chain);
                 }
-                IdleBoundary::Divided { multiplier } => {
-                    self.emit_samples(seg.last_tick, Some(seg.multiplier));
-                    self.clock_transition(seg.last_tick, ClockRate::Divided(multiplier));
-                }
-                IdleBoundary::ShutDown => {
-                    self.emit_samples(seg.last_tick, Some(seg.multiplier));
-                    self.clock_transition(seg.last_tick, ClockRate::Off);
-                    // Per-tick stepping would have popped this shutdown
-                    // tick, leaving the clock there; the end-of-run
-                    // bookkeeping (FIFO drain start, power horizon)
-                    // reads it.
-                    self.queue.advance_to(seg.last_tick);
-                }
+                self.queue.advance_to(shutdown);
+                return;
             }
         }
+        let mut segments = std::mem::take(&mut self.idle_segments);
+        let next_tick = self.fsm.advance_idle_into(t, barrier, &mut segments);
+        self.narrate_segments(segments.iter().copied());
+        match next_tick {
+            Some(next) => {
+                self.queue.schedule_at(next, Ev::Tick).expect("resumed tick is not in the past")
+            }
+            // Per-tick stepping would have popped the shutdown tick,
+            // leaving the clock there; the end-of-run bookkeeping (FIFO
+            // drain start, power horizon) reads it.
+            None => self.queue.advance_to(segments.last().expect("a shutdown segment").last_tick),
+        }
         self.idle_segments = segments;
-        if let Some(next) = next_tick {
-            self.queue.schedule_at(next, Ev::Tick).expect("resumed tick is not in the past");
+    }
+
+    /// Replays fast-forwarded segments into the observers: per segment
+    /// that ends at a boundary, the live samples due up to its last tick
+    /// and the boundary's clock transition.
+    fn narrate_segments(&mut self, segments: impl IntoIterator<Item = IdleSegment>) {
+        for seg in segments {
+            let clock = match seg.boundary {
+                // Samples due past the last tick are emitted by the next
+                // event's `sample_until` — the FSM already carries this
+                // segment's multiplier.
+                IdleBoundary::None => continue,
+                IdleBoundary::Divided { multiplier } => ClockRate::Divided(multiplier),
+                IdleBoundary::ShutDown => ClockRate::Off,
+            };
+            self.emit_samples(seg.last_tick, Some(seg.multiplier));
+            self.clock_transition(seg.last_tick, clock);
         }
     }
 
@@ -1385,6 +1418,7 @@ impl<'a> Runner<'a> {
         // fallback's fault, not ordinary congestion.
         self.fifo.set_degraded(true);
         self.fsm.reconfigure(&self.cfg.clock.degraded_fallback(self.watchdog.degraded_n_div_clamp));
+        self.idle_chain = self.fsm.idle_chain();
     }
 
     fn drain_step(&mut self, t: SimTime) {
@@ -1709,6 +1743,30 @@ mod tests {
             &writes,
         );
         assert_eq!(fast, reference);
+    }
+
+    /// Every reconfiguration of the FSM replaces the post-capture chain
+    /// template: an SPI write by the new configuration's chain, the
+    /// degraded fallback (which never shuts down) by none.
+    #[test]
+    fn reconfiguration_replaces_the_chain_template() {
+        use crate::config_bus::Register;
+        let iface = prototype();
+        let train = SpikeTrain::new();
+        let writes = [(SimTime::from_us(1), Register::ThetaDiv, 17u32)];
+        let plan = FaultPlan::nominal(0);
+        let tel = TelemetryConfig::disabled();
+        let mut runner = Runner::new(&iface, &train, SimTime::from_ms(1), &plan, &tel, &writes);
+        // θ ticks at each of the multipliers 1, 2, 4, 8; the first tick
+        // is at offset zero.
+        let shutdown = |theta: u64| iface.config().clock.base_sampling_period() * (15 * theta - 1);
+        let chain = runner.idle_chain.as_ref().expect("recursive clocking shuts down");
+        assert_eq!(chain.shutdown(), shutdown(64));
+        runner.on_spi_write(0);
+        let chain = runner.idle_chain.as_ref().expect("still recursive");
+        assert_eq!(chain.shutdown(), shutdown(17));
+        runner.enter_degraded();
+        assert!(runner.idle_chain.is_none(), "degraded clocking never shuts down");
     }
 
     #[test]

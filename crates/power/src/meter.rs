@@ -7,14 +7,12 @@
 //! [`PowerModel`](crate::model::PowerModel) can evaluate. This keeps
 //! the two power paths comparable by construction.
 
-use serde::{Deserialize, Serialize};
-
 use aetr_sim::time::{SimDuration, SimTime};
 
 use crate::model::ActivityInput;
 
 /// Current clock state as seen by the meter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ClockState {
     /// Running at a period multiplier.
     Active(u64),
@@ -23,6 +21,13 @@ enum ClockState {
 }
 
 /// Integrates clock activity, events and wakes over simulation time.
+///
+/// Active time accrues per period multiplier in a small list kept in
+/// first-use order, found by a linear scan: a run reaches at most
+/// `N_div + 1` multipliers per policy, so a transition costs a few
+/// compares and never shifts the list. [`finish`](Self::finish) sorts
+/// it by multiplier into [`ActivityInput::active`]; spans are integers,
+/// so the sums do not depend on the order they were added in.
 ///
 /// # Examples
 ///
@@ -39,8 +44,10 @@ enum ClockState {
 /// let report = PowerModel::igloo_nano().evaluate(&activity);
 /// assert!(report.total.as_microwatts() > 50.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerMeter {
+    /// The record so far; `active` is unsorted until
+    /// [`finish`](Self::finish).
     activity: ActivityInput,
     state: ClockState,
     last_change: SimTime,
@@ -60,7 +67,12 @@ impl PowerMeter {
         let span = now.saturating_duration_since(self.last_change);
         if !span.is_zero() {
             match self.state {
-                ClockState::Active(m) => add_active(&mut self.activity, m, span),
+                ClockState::Active(m) => {
+                    match self.activity.active.iter_mut().find(|(k, _)| *k == m) {
+                        Some((_, total)) => *total += span,
+                        None => self.activity.active.push((m, span)),
+                    }
+                }
                 ClockState::Off => self.activity.off += span,
             }
         }
@@ -92,6 +104,28 @@ impl PowerMeter {
         self.state = ClockState::Off;
     }
 
+    /// Records a whole run of levels in one call: at `at` the clock
+    /// switches to `levels[0].0` and runs there for `levels[0].1`, then
+    /// to each following `(multiplier, span)` in turn, and switches off
+    /// when the last span ends. The record is the one
+    /// [`clock_multiplier`](Self::clock_multiplier) at each level start
+    /// and [`clock_off`](Self::clock_off) at the end would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a multiplier is zero or `at` precedes an earlier
+    /// notification.
+    pub fn clock_levels_then_off(&mut self, at: SimTime, levels: &[(u64, SimDuration)]) {
+        assert!(at >= self.last_change, "meter notified out of order");
+        self.accrue(at);
+        for &(multiplier, span) in levels {
+            assert!(multiplier > 0, "multiplier must be non-zero");
+            self.state = ClockState::Active(multiplier);
+            self.accrue(self.last_change + span);
+        }
+        self.state = ClockState::Off;
+    }
+
     /// Records a ring-oscillator wake.
     pub fn wake(&mut self) {
         self.activity.wake_count += 1;
@@ -103,7 +137,8 @@ impl PowerMeter {
     }
 
     /// Closes the record at `horizon` and returns the accumulated
-    /// activity.
+    /// activity, with one `active` entry per multiplier the clock ran
+    /// at for a non-zero time, sorted by multiplier.
     ///
     /// # Panics
     ///
@@ -111,20 +146,9 @@ impl PowerMeter {
     pub fn finish(mut self, horizon: SimTime) -> ActivityInput {
         assert!(horizon >= self.last_change, "meter finished before its last notification");
         self.accrue(horizon);
+        // Each multiplier appears once, so the unstable sort is exact.
+        self.activity.active.sort_unstable_by_key(|&(m, _)| m);
         self.activity
-    }
-
-    /// Peek at the activity accumulated so far (not including the open
-    /// interval since the last notification).
-    pub fn activity(&self) -> &ActivityInput {
-        &self.activity
-    }
-}
-
-fn add_active(activity: &mut ActivityInput, multiplier: u64, span: SimDuration) {
-    match activity.active.binary_search_by_key(&multiplier, |&(m, _)| m) {
-        Ok(i) => activity.active[i].1 += span,
-        Err(i) => activity.active.insert(i, (multiplier, span)),
     }
 }
 

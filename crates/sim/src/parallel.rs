@@ -42,8 +42,10 @@ pub fn available_jobs() -> usize {
 ///
 /// `f` receives `(index, &item)` so callers can derive per-point seeds
 /// from the position, exactly as a sequential loop would. Work is
-/// handed out through an atomic cursor, so stragglers never idle a
-/// worker; `jobs` is clamped to `1..=items.len()`.
+/// handed out through an atomic cursor in input order, so stragglers
+/// never idle a worker. `jobs` is clamped to `1..=items.len()`;
+/// the calling thread is one of the `jobs` workers, so only `jobs - 1`
+/// threads are spawned.
 ///
 /// # Examples
 ///
@@ -68,22 +70,24 @@ where
     let cursor = AtomicUsize::new(0);
     let tagged: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
 
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                // Compute into a worker-local buffer first so the lock
-                // is touched once per worker, not once per item.
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    local.push((i, f(i, &items[i])));
-                }
-                tagged.lock().expect("worker poisoned result buffer").extend(local);
-            });
+    let work = || {
+        // Compute into a worker-local buffer first so the lock is
+        // touched once per worker, not once per item.
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            local.push((i, f(i, &items[i])));
         }
+        tagged.lock().expect("worker poisoned result buffer").extend(local);
+    };
+    thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(work);
+        }
+        work();
     });
 
     let mut tagged = tagged.into_inner().expect("worker poisoned result buffer");

@@ -26,6 +26,15 @@
 //! Scheduling into an occupied slot is an error, like scheduling in the
 //! past: it means the model broke its one-pending-per-kind invariant,
 //! and a silent overwrite would drop an event.
+//!
+//! # Branch-free minimum
+//!
+//! Each slot's order key is one `u128`: the due time in the high 64
+//! bits, then the sequence number, then the slot index in the lowest
+//! `⌈log2 N⌉` bits. Sequence numbers are unique, so the slot bits never
+//! decide an order, and the plain integer minimum over the keys both
+//! finds the earliest `(time, seq)` and names its slot. The scan is a
+//! fold of `min`s the compiler turns into conditional moves.
 
 use std::error::Error;
 use std::fmt;
@@ -79,13 +88,15 @@ impl From<SchedulePastError> for SlotError {
 }
 
 /// The order key of an empty slot or an exhausted timeline. No real
-/// event reaches it: its sequence number would be `u64::MAX`.
+/// event reaches it: its sequence number would be all ones.
 const VACANT: u128 = u128::MAX;
 
-/// Packs `(time, seq)` into one integer whose order is the pair's
-/// lexicographic order.
-fn key(time: SimTime, seq: u64) -> u128 {
-    (u128::from(time.as_ps()) << 64) | u128::from(seq)
+/// Packs `(time, seq, tag)` into one integer whose order is the
+/// lexicographic order of `(time, seq)`: `tag`, below `seq`, takes the
+/// low `tag_bits` bits and decides nothing, because sequence numbers are
+/// unique.
+fn key(time: SimTime, seq: u64, tag_bits: u32, tag: usize) -> u128 {
+    (u128::from(time.as_ps()) << 64) | (u128::from(seq) << tag_bits) | tag as u128
 }
 
 fn key_time(key: u128) -> SimTime {
@@ -133,7 +144,8 @@ fn key_time(key: u128) -> SimTime {
 /// ```
 #[derive(Debug)]
 pub struct SlotQueue<E, const N: usize> {
-    /// Order key of each slot's pending event, or [`VACANT`].
+    /// Order key of each slot's pending event (slot index in the low
+    /// bits), or [`VACANT`].
     keys: [u128; N],
     /// Each slot's pending event.
     events: [Option<E>; N],
@@ -153,6 +165,9 @@ impl<E: Slotted, const N: usize> Default for SlotQueue<E, N> {
 }
 
 impl<E: Slotted, const N: usize> SlotQueue<E, N> {
+    /// Bits of a slot key that hold the slot index: enough for `N - 1`.
+    const SLOT_BITS: u32 = usize::BITS - N.saturating_sub(1).leading_zeros();
+
     /// An empty scheduler at time zero with no timeline.
     pub fn new() -> Self {
         Self::with_timeline([])
@@ -209,7 +224,8 @@ impl<E: Slotted, const N: usize> SlotQueue<E, N> {
         if pending != VACANT {
             return Err(SlotError::Occupied { slot, pending: key_time(pending) });
         }
-        self.keys[slot] = key(at, self.next_seq);
+        debug_assert!(self.next_seq < u64::MAX >> Self::SLOT_BITS, "sequence numbers exhausted");
+        self.keys[slot] = key(at, self.next_seq, Self::SLOT_BITS, slot);
         self.events[slot] = Some(event);
         self.next_seq += 1;
         self.ops += 1;
@@ -232,31 +248,28 @@ impl<E: Slotted, const N: usize> SlotQueue<E, N> {
 
     /// Order key of the timeline's next entry, or [`VACANT`].
     fn timeline_key(&self) -> u128 {
-        self.timeline.get(self.cursor).map_or(VACANT, |&t| key(t, self.cursor as u64))
+        self.timeline
+            .get(self.cursor)
+            .map_or(VACANT, |&t| key(t, self.cursor as u64, Self::SLOT_BITS, 0))
     }
 
-    /// The occupied slot with the smallest key, with that key
-    /// ([`VACANT`] when every slot is empty).
-    fn min_slot(&self) -> (usize, u128) {
-        let mut best = (0, VACANT);
-        for (slot, &k) in self.keys.iter().enumerate() {
-            if k < best.1 {
-                best = (slot, k);
-            }
-        }
-        best
+    /// The smallest slot key ([`VACANT`] when every slot is empty); its
+    /// low `SLOT_BITS` bits name the slot.
+    fn min_slot(&self) -> u128 {
+        self.keys.iter().fold(VACANT, |best, &k| best.min(k))
     }
 
     /// Removes and returns the earliest event, advancing the clock to
     /// its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (slot, slot_key) = self.min_slot();
+        let slot_key = self.min_slot();
         let head = self.timeline_key();
         let (time, event) = if head < slot_key {
             let index = self.cursor;
             self.cursor += 1;
             (key_time(head), E::timeline(index))
         } else if slot_key != VACANT {
+            let slot = (slot_key & ((1 << Self::SLOT_BITS) - 1)) as usize;
             self.keys[slot] = VACANT;
             (key_time(slot_key), self.events[slot].take().expect("occupied slot holds its event"))
         } else {
@@ -270,7 +283,7 @@ impl<E: Slotted, const N: usize> SlotQueue<E, N> {
 
     /// Time of the earliest pending event, without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let k = self.min_slot().1.min(self.timeline_key());
+        let k = self.min_slot().min(self.timeline_key());
         (k != VACANT).then(|| key_time(k))
     }
 
