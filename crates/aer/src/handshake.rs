@@ -318,11 +318,6 @@ impl<'a> HandshakeSender<'a> {
         self.next == self.pending.len() && self.phase == SenderPhase::Idle
     }
 
-    /// Number of spikes not yet transmitted (excluding one in flight).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len() - self.next
-    }
-
     /// When `REQ` will next rise: the later of the next spike's time
     /// and the link recovery instant. `None` if the sender is busy or
     /// out of spikes.

@@ -1,9 +1,8 @@
 //! Criterion benchmarks of the simulation kernel: event queue, signal
-//! tracing, CDC FIFO, and online statistics.
+//! tracing, and online statistics.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use aetr::cdc_fifo::{CdcFifo, CdcFifoConfig};
 use aetr_sim::queue::EventQueue;
 use aetr_sim::stats::OnlineStats;
 use aetr_sim::time::{SimDuration, SimTime};
@@ -72,25 +71,6 @@ fn bench_tracer(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cdc_fifo(c: &mut Criterion) {
-    c.bench_function("cdc_fifo/push_pop_cycle", |b| {
-        let mut fifo: CdcFifo<u64> = CdcFifo::new(CdcFifoConfig {
-            depth: 64,
-            write_period: SimDuration::from_ns(66),
-            read_period: SimDuration::from_ns(33),
-        })
-        .expect("valid config");
-        let mut t = SimTime::from_ns(100);
-        b.iter(|| {
-            let _ = fifo.push(t, 1);
-            t += SimDuration::from_ns(66);
-            let popped = fifo.pop(t);
-            t += SimDuration::from_ns(66);
-            popped
-        });
-    });
-}
-
 fn bench_stats(c: &mut Criterion) {
     let mut group = c.benchmark_group("online_stats");
     group.throughput(Throughput::Elements(100_000));
@@ -109,6 +89,6 @@ fn bench_stats(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_event_queue, bench_tracer, bench_cdc_fifo, bench_stats
+    targets = bench_event_queue, bench_tracer, bench_stats
 }
 criterion_main!(benches);

@@ -10,7 +10,9 @@
 //! from the telemetry profiling hook) as machine-readable JSON.
 //!
 //! The committed `BENCH_interface.json` at the repo root is this tool's
-//! output and doubles as the regression baseline: `--check <path>`
+//! default output and doubles as the regression baseline (a `--quick`
+//! run writes only where `--out` says, so a smoke run never replaces
+//! it): `--check <path>`
 //! fails (exit 1) when the fresh measurement's `sim_events_per_sec`
 //! falls more than `--tolerance` (default 20%) below any committed
 //! point, and also when per-event lineage recording costs more than
@@ -44,7 +46,8 @@ USAGE:
              [--engine fast-forward|per-tick]
 
   --quick      3 timing iterations per point instead of 9 (CI smoke)
-  --out        where to write the JSON report (default BENCH_interface.json)
+  --out        where to write the JSON report (default BENCH_interface.json;
+               a --quick run writes a report only when --out is given)
   --check      compare against a committed baseline; exit 1 if any
                point's sim_events_per_sec regressed more than the
                tolerance
@@ -77,6 +80,10 @@ const PRE_PR: [(f64, f64); 5] =
 struct BenchArgs {
     quick: bool,
     out: String,
+    /// `false` for a `--quick` run without `--out`, whose 3-iteration
+    /// report must not replace the 9-iteration baseline at the default
+    /// path.
+    write_out: bool,
     check: Option<String>,
     tolerance: f64,
     jobs: usize,
@@ -87,6 +94,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     let mut args = BenchArgs {
         quick: false,
         out: "BENCH_interface.json".to_owned(),
+        write_out: false,
         check: None,
         tolerance: 0.2,
         jobs: 0,
@@ -97,7 +105,10 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
         let mut value = |flag: &str| argv.next().ok_or(format!("{flag} needs a value\n{USAGE}"));
         match arg.as_str() {
             "--quick" => args.quick = true,
-            "--out" => args.out = value("--out")?,
+            "--out" => {
+                args.out = value("--out")?;
+                args.write_out = true;
+            }
             "--check" => args.check = Some(value("--check")?),
             "--tolerance" => {
                 args.tolerance = value("--tolerance")?
@@ -125,6 +136,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<BenchArgs, String> {
     if args.jobs == 0 {
         args.jobs = aetr_sim::parallel::available_jobs();
     }
+    args.write_out |= !args.quick;
     Ok(args)
 }
 
@@ -458,8 +470,12 @@ fn run(args: &BenchArgs) -> Result<String, String> {
     ));
 
     let doc = report_json(args, &points, campaign, &lineage);
-    std::fs::write(&args.out, format!("{doc}\n")).map_err(|e| format!("{}: {e}", args.out))?;
-    summary.push_str(&format!("wrote {}\n", args.out));
+    if args.write_out {
+        std::fs::write(&args.out, format!("{doc}\n")).map_err(|e| format!("{}: {e}", args.out))?;
+        summary.push_str(&format!("wrote {}\n", args.out));
+    } else {
+        summary.push_str("no report written (--quick without --out)\n");
+    }
 
     if let Some(path) = &args.check {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -542,6 +558,15 @@ mod tests {
         assert_eq!(args.tolerance, 0.5);
         assert_eq!(args.jobs, 2);
         assert_eq!(args.engine, SimEngine::PerTickReference);
+    }
+
+    #[test]
+    fn quick_run_writes_only_to_a_given_out_path() {
+        let args = |argv: &[&str]| parse_args(argv.iter().map(|s| s.to_string())).unwrap();
+        assert!(!args(&["--quick"]).write_out, "must not overwrite the committed baseline");
+        assert!(!args(&["--quick", "--check", "BENCH_interface.json"]).write_out);
+        assert!(args(&["--quick", "--out", "x.json"]).write_out);
+        assert!(args(&[]).write_out, "a full run keeps its default path");
     }
 
     #[test]

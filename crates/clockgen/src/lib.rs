@@ -39,10 +39,8 @@
 pub mod config;
 pub mod divider;
 pub mod engine;
-pub mod fll;
 pub mod fsm;
 pub mod jitter;
-pub mod pausible;
 pub mod ring;
 pub mod schedule;
 pub mod segments;

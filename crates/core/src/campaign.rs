@@ -32,11 +32,8 @@ pub enum FaultSurface {
     /// transactions).
     Protocol,
     /// Storage and link faults only (FIFO bit flips, I2S frame slips).
-    /// The CDC Gray-pointer rate is set as well, but the interface has
-    /// no CDC FIFO, so it injects nothing here.
     Datapath,
-    /// Every per-event fault class at once (the CDC Gray-pointer rate,
-    /// as for `Datapath`, injects nothing in an interface run).
+    /// Every per-event fault class at once.
     All,
 }
 
@@ -53,7 +50,6 @@ impl FaultSurface {
                 wake_failure: rate,
                 fifo_bit_flip: rate,
                 i2s_frame_slip: rate,
-                cdc_gray_upset: rate,
             },
         }
     }

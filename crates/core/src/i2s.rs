@@ -227,11 +227,6 @@ impl I2sTransmitter {
         self.busy_until
     }
 
-    /// `true` if a frame may start at `now`.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        now >= self.busy_until
-    }
-
     /// Transmits one frame carrying up to two events starting at `now`;
     /// a missing second event is padded with [`IDLE_WORD`]. Returns the
     /// frame completion time.

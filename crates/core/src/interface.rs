@@ -308,12 +308,6 @@ impl AerToI2sInterface {
         })
     }
 
-    /// Replaces the power model (e.g. a re-calibrated one).
-    pub fn with_power_model(mut self, model: PowerModel) -> AerToI2sInterface {
-        self.power_model = model;
-        self
-    }
-
     /// Selects the simulation engine (see [`SimEngine`]); reports are
     /// bit-identical either way.
     pub fn with_engine(mut self, engine: SimEngine) -> AerToI2sInterface {

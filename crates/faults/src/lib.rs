@@ -92,7 +92,7 @@ impl FaultRng {
 
 /// Per-fault-class injection rates, each a probability in `[0, 1]`
 /// applied at that fault's natural opportunity (per handshake, per
-/// wake, per FIFO write, per I2S frame, per CDC pointer update).
+/// wake, per FIFO write, per I2S frame).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultRates {
     /// `REQ` stuck high after its handshake should have released it:
@@ -111,12 +111,6 @@ pub struct FaultRates {
     pub fifo_bit_flip: f64,
     /// The I2S receiver slips (loses) a transmitted frame.
     pub i2s_frame_slip: f64,
-    /// A single-bit upset on a Gray-coded CDC pointer in flight, drawn
-    /// through [`FaultInjector::upset_gray_bit`] by whoever drives a
-    /// standalone `CdcFifo`. The DES interface buffers in its
-    /// single-clock `AetrFifo` and never draws it, so in interface runs
-    /// this rate injects nothing.
-    pub cdc_gray_upset: f64,
 }
 
 impl FaultRates {
@@ -125,7 +119,7 @@ impl FaultRates {
         self.as_array().iter().all(|&r| r == 0.0)
     }
 
-    fn as_array(&self) -> [f64; 7] {
+    fn as_array(&self) -> [f64; 6] {
         [
             self.stuck_req,
             self.lost_ack,
@@ -133,7 +127,6 @@ impl FaultRates {
             self.wake_failure,
             self.fifo_bit_flip,
             self.i2s_frame_slip,
-            self.cdc_gray_upset,
         ]
     }
 
@@ -142,16 +135,9 @@ impl FaultRates {
         FaultRates { stuck_req: rate, lost_ack: rate, malformed: rate, ..FaultRates::default() }
     }
 
-    /// A uniform rate on the datapath faults (campaign helper). The CDC
-    /// Gray-pointer rate is set too, but only a standalone `CdcFifo`
-    /// draws it (see [`cdc_gray_upset`](FaultRates::cdc_gray_upset)).
+    /// A uniform rate on the datapath faults (campaign helper).
     pub fn datapath(rate: f64) -> FaultRates {
-        FaultRates {
-            fifo_bit_flip: rate,
-            i2s_frame_slip: rate,
-            cdc_gray_upset: rate,
-            ..FaultRates::default()
-        }
+        FaultRates { fifo_bit_flip: rate, i2s_frame_slip: rate, ..FaultRates::default() }
     }
 }
 
@@ -318,7 +304,7 @@ impl FaultPlan {
 pub struct FaultInjector {
     rates: FaultRates,
     /// One RNG stream per fault class, all derived from the plan seed.
-    streams: [FaultRng; 7],
+    streams: [FaultRng; 6],
     /// Time-sorted scheduled faults not yet fired.
     scheduled: Vec<ScheduledFault>,
     next_scheduled: usize,
@@ -339,7 +325,7 @@ impl FaultInjector {
             |class: u64| FaultRng::new(plan.seed ^ class.wrapping_mul(0xA24B_AED4_963E_E407));
         FaultInjector {
             rates: plan.rates,
-            streams: [stream(1), stream(2), stream(3), stream(4), stream(5), stream(6), stream(7)],
+            streams: [stream(1), stream(2), stream(3), stream(4), stream(5), stream(6)],
             scheduled,
             next_scheduled: 0,
         }
@@ -397,16 +383,6 @@ impl FaultInjector {
     pub fn slip_frame(&mut self) -> bool {
         self.streams[5].roll(self.rates.i2s_frame_slip)
     }
-
-    /// Bit index (0..`pointer_bits`) to upset on a crossing Gray
-    /// pointer, if this update is hit.
-    pub fn upset_gray_bit(&mut self, pointer_bits: u32) -> Option<u32> {
-        if pointer_bits > 0 && self.streams[6].roll(self.rates.cdc_gray_upset) {
-            Some(self.streams[6].below(pointer_bits))
-        } else {
-            None
-        }
-    }
 }
 
 /// Typed counters describing everything that went wrong — and was
@@ -451,9 +427,10 @@ pub struct InterfaceHealthReport {
     pub frame_slips: u64,
     /// Events carried by those slipped frames.
     pub events_lost_to_slips: u64,
-    /// Gray-pointer upsets injected on a CDC crossing. Always 0 in
-    /// interface runs, whose datapath has no CDC FIFO (see
-    /// [`FaultRates::cdc_gray_upset`]).
+    /// Clock-domain-crossing upsets. Always 0: no modelled datapath
+    /// crosses a clock domain. Kept only so that reports and the
+    /// `interface.health.cdc_upsets` export stay unchanged; it goes at
+    /// the next deliberate re-record of the golden reports.
     pub cdc_upsets: u64,
     /// `true` once the interface clamped `N_div` and gave up sleeping.
     pub degraded: bool,

@@ -284,3 +284,25 @@ fn spi_writes_win_ties_with_ticks_and_requests() {
     let wake_tie = fingerprint_with(sleepy_train(None), &[(wake, Register::NDiv, 1)]);
     assert_eq!(wake_tie, 11_367_915_132_133_126_843);
 }
+
+#[test]
+fn datapath_surface_faults_match_the_recorded_report() {
+    // FIFO bit flips and I2S frame slips on a Poisson train; a low
+    // watermark so that frames (and frame slips) happen mid-run.
+    let plan = FaultPlan::nominal(7).with_rates(FaultSurface::Datapath.rates(0.3));
+    let train = PoissonGenerator::new(2_500.0, 8, 13).generate(SimTime::from_ms(20));
+    let config = InterfaceConfig {
+        fifo: FifoConfig { watermark: 4, ..FifoConfig::prototype() },
+        ..InterfaceConfig::prototype()
+    };
+    let case = Case { config, plan, telemetry: full_telemetry(), ..Case::new(train, 20) };
+    let report = AerToI2sInterface::new(config).expect("valid config").run_with_telemetry(
+        &case.train,
+        case.horizon,
+        &case.plan,
+        &case.telemetry,
+    );
+    assert!(report.health.fifo_bit_flips > 0, "no FIFO bit flip was injected");
+    assert!(report.health.frame_slips > 0, "no frame slip was injected");
+    assert_eq!(case.fingerprint(), 17_171_533_675_349_824_888);
+}
