@@ -1,43 +1,57 @@
-//! Criterion benchmarks of the simulation kernel: event queue, signal
-//! tracing, and online statistics.
+//! Criterion benchmarks of the simulation kernel: slot scheduler,
+//! signal tracing, and online statistics.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use aetr_sim::queue::EventQueue;
+use aetr_sim::slots::{SlotQueue, Slotted};
 use aetr_sim::stats::OnlineStats;
 use aetr_sim::time::{SimDuration, SimTime};
 use aetr_sim::trace::{TraceValue, Tracer};
 
-fn bench_event_queue(c: &mut Criterion) {
-    let mut group = c.benchmark_group("event_queue");
+/// A clock tick on the one slot, or timeline entry `.0`.
+enum Ev {
+    Tick(u64),
+    Write(usize),
+}
+
+impl Slotted for Ev {
+    fn slot(&self) -> usize {
+        0
+    }
+
+    fn timeline(index: usize) -> Ev {
+        Ev::Write(index)
+    }
+}
+
+fn bench_slot_queue(c: &mut Criterion) {
+    let mut group = c.benchmark_group("slot_queue");
     group.throughput(Throughput::Elements(10_000));
-    group.bench_function("schedule_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0u64..10_000 {
-                // Pseudo-random times to stress the heap.
-                let t = (i * 2_654_435_761) % 1_000_000_000;
-                q.schedule_at(SimTime::from_ps(t), i).expect("fresh queue");
-            }
-            let mut sum = 0u64;
-            while let Some((_, v)) = q.pop() {
-                sum = sum.wrapping_add(v);
-            }
-            sum
-        });
-    });
     group.bench_function("delta_chain_10k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
-            q.schedule_at(SimTime::ZERO, 0u64).expect("fresh queue");
+            let mut q: SlotQueue<Ev, 1> = SlotQueue::new();
+            q.schedule_at(SimTime::ZERO, Ev::Tick(0)).expect("fresh queue");
             let mut n = 0u64;
-            while let Some((_, v)) = q.pop() {
+            while let Some((_, Ev::Tick(v))) = q.pop() {
                 n += 1;
                 if n < 10_000 {
-                    q.schedule_after(SimDuration::from_ns(66), v + 1).expect("monotone");
+                    q.schedule_after(SimDuration::from_ns(66), Ev::Tick(v + 1)).expect("monotone");
                 }
             }
             n
+        });
+    });
+    group.bench_function("timeline_pop_10k", |b| {
+        let times: Vec<SimTime> = (0u64..10_000).map(|i| SimTime::from_ns(66 * i)).collect();
+        b.iter(|| {
+            let mut q: SlotQueue<Ev, 1> = SlotQueue::with_timeline(times.iter().copied());
+            let mut sum = 0usize;
+            while let Some((_, ev)) = q.pop() {
+                if let Ev::Write(i) = ev {
+                    sum = sum.wrapping_add(i);
+                }
+            }
+            sum
         });
     });
     group.finish();
@@ -89,6 +103,6 @@ fn bench_stats(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_event_queue, bench_tracer, bench_stats
+    targets = bench_slot_queue, bench_tracer, bench_stats
 }
 criterion_main!(benches);

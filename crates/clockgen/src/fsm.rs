@@ -27,6 +27,7 @@ use serde::{Deserialize, Serialize};
 use aetr_sim::time::{SimDuration, SimTime};
 
 use crate::config::{ClockGenConfig, DivisionPolicy};
+use crate::segments::SegmentTable;
 
 /// What happened on a sampling tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,7 +65,7 @@ pub enum IdleBoundary {
 }
 
 /// One maximal run of quiet ticks at a constant period multiplier,
-/// produced by [`SamplerFsm::advance_idle`].
+/// produced by [`SamplerFsm::advance_idle_into`].
 ///
 /// Ticks land at `first_tick + i · multiplier · T_min` for
 /// `i ∈ [0, ticks)`; `last_tick` is the final one, and `boundary` says
@@ -84,86 +85,6 @@ pub struct IdleSegment {
     pub multiplier: u64,
     /// What the last tick did.
     pub boundary: IdleBoundary,
-}
-
-/// Result of a batch advance: the segments walked plus where the tick
-/// chain resumes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IdleAdvance {
-    /// Constant-multiplier segments, in time order. O(`N_div`) long:
-    /// every segment but the last ends in a division.
-    pub segments: Vec<IdleSegment>,
-    /// Time of the next tick, at or after the barrier — `None` if the
-    /// batch ended in shutdown (a stopped clock has no next tick).
-    pub next_tick: Option<SimTime>,
-}
-
-/// The quiet tick chain from the reset divider position to shutdown,
-/// precomputed once per clock configuration
-/// ([`SamplerFsm::idle_chain`]) and replayed in O(1) by
-/// [`SamplerFsm::replay_idle_chain`].
-///
-/// After a capture the FSM sits at the reset position (`cnt_sample = 0`,
-/// `cnt_div = 0`, multiplier 1), and with no request in sight it walks
-/// the same θ_div·(N_div + 1) quiet ticks to shutdown every time. The
-/// walk depends on the configuration and the divider position alone,
-/// and it is shift-invariant: started at `t` instead of time zero, every
-/// tick lands `t` later. So the chain is computed once, from time zero,
-/// and replayed at any `t` whose shifted shutdown tick does not
-/// overflow. The counter is the only state that differs between
-/// replays; `k` clamped adds equal one clamped add of their sum (see
-/// [`SamplerFsm::advance_idle`]), so it takes one add of the chain's
-/// total increment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IdleChain {
-    /// The configuration the chain was computed for.
-    theta_div: u32,
-    n_div: u32,
-    policy: DivisionPolicy,
-    /// Segments from a first tick at time zero, one per level; the
-    /// last one ends in the shutdown, at `cnt_div = N_div`.
-    segments: Vec<IdleSegment>,
-    /// Each boundary after the first as the level it opens: the new
-    /// multiplier and the time until the next boundary.
-    levels: Vec<(u64, SimDuration)>,
-    /// Offset of the shutdown tick.
-    shutdown: SimDuration,
-    /// Counter increment over the whole chain (saturated).
-    increment: u64,
-}
-
-impl IdleChain {
-    /// The chain's segments for a first tick at `first_tick`: exactly
-    /// those [`SamplerFsm::advance_idle_into`] produces when the chain
-    /// applies.
-    pub fn segments_from(&self, first_tick: SimTime) -> impl Iterator<Item = IdleSegment> + '_ {
-        self.segments.iter().map(move |seg| IdleSegment {
-            first_tick: first_tick
-                .saturating_add(seg.first_tick.saturating_duration_since(SimTime::ZERO)),
-            last_tick: first_tick
-                .saturating_add(seg.last_tick.saturating_duration_since(SimTime::ZERO)),
-            ..*seg
-        })
-    }
-
-    /// Offset of the first boundary tick (a division, or the shutdown
-    /// when `N_div = 0`) from the chain's first tick.
-    pub fn first_boundary(&self) -> SimDuration {
-        self.segments[0].last_tick.saturating_duration_since(SimTime::ZERO)
-    }
-
-    /// The levels the boundaries open, in order, each as its multiplier
-    /// and its span up to the next boundary: the shape
-    /// `PowerMeter::clock_levels_then_off` takes, from the first
-    /// boundary on. Empty when `N_div = 0`.
-    pub fn levels(&self) -> &[(u64, SimDuration)] {
-        &self.levels
-    }
-
-    /// Offset of the shutdown tick from the chain's first tick.
-    pub fn shutdown(&self) -> SimDuration {
-        self.shutdown
-    }
 }
 
 /// Snapshot of the divider state a capture happened under, read by the
@@ -368,23 +289,19 @@ impl SamplerFsm {
     /// (tick times, multipliers, boundary actions) for callers to
     /// replay the side effects — power-meter transitions, telemetry
     /// residency, live samples — segment-wise with the same exactness.
+    /// They go into `out` (cleared first), so a hot loop can reuse one
+    /// allocation across batches: constant-multiplier segments in time
+    /// order, every one but the last ending in a division.
     ///
     /// The tick at `first_tick` is processed even if it is at or past
     /// the barrier (it was already popped by the caller); later ticks
-    /// stop at the barrier, and `next_tick` lands at or after it.
+    /// stop at the barrier. Returns the time of the next tick, at or
+    /// after the barrier, or `None` if the batch ended in shutdown (a
+    /// stopped clock has no next tick).
     ///
     /// # Panics
     ///
     /// Panics if called while asleep, like `on_tick`.
-    pub fn advance_idle(&mut self, first_tick: SimTime, barrier: SimTime) -> IdleAdvance {
-        let mut segments = Vec::new();
-        let next_tick = self.advance_idle_into(first_tick, barrier, &mut segments);
-        IdleAdvance { segments, next_tick }
-    }
-
-    /// [`advance_idle`](SamplerFsm::advance_idle) into a caller-owned
-    /// buffer (cleared first), so a hot loop can reuse one allocation
-    /// across batches. Returns the resume time (`None` after shutdown).
     pub fn advance_idle_into(
         &mut self,
         first_tick: SimTime,
@@ -478,62 +395,51 @@ impl SamplerFsm {
         }
     }
 
-    /// The [`IdleChain`] of this FSM's configuration: the quiet walk
-    /// from the reset divider position to shutdown. `None` when the
-    /// policy never shuts down (`Never`, `DivideOnly`), or when the walk
-    /// does not fit the time range.
-    pub fn idle_chain(&self) -> Option<IdleChain> {
-        let mut walker = self.clone();
-        walker.asleep = false;
-        walker.reset_measurement();
-        let mut segments = Vec::new();
-        if walker.advance_idle_into(SimTime::ZERO, SimTime::MAX, &mut segments).is_some() {
-            return None;
-        }
-        let shutdown = segments.last()?.last_tick;
-        if shutdown == SimTime::MAX {
-            // A saturated walk: the shift argument does not hold.
-            return None;
-        }
-        let levels = segments
-            .windows(2)
-            .map(|w| (w[1].multiplier, w[1].last_tick.saturating_duration_since(w[0].last_tick)))
-            .collect();
-        let increment = segments
-            .iter()
-            .fold(0u64, |sum, seg| sum.saturating_add(seg.multiplier.saturating_mul(seg.ticks)));
-        Some(IdleChain {
-            theta_div: self.theta_div,
-            n_div: self.n_div,
-            policy: self.policy,
-            levels,
-            shutdown: shutdown.saturating_duration_since(SimTime::ZERO),
-            increment,
-            segments,
-        })
+    /// The division schedule of this FSM's configuration as the quiet
+    /// walk from the reset divider position to shutdown, for
+    /// [`replay_idle_chain`](SamplerFsm::replay_idle_chain). `None` when
+    /// the policy never shuts down (`Never`, `DivideOnly`), or when the
+    /// shutdown's offset from the reset does not fit the time range. (A
+    /// walk from a first tick at `t ≥ T_min`, as every tick of a run
+    /// is, could not replay then anyway: its shutdown tick overflows.)
+    ///
+    /// After a capture the FSM sits at the reset position
+    /// (`cnt_sample = 0`, `cnt_div = 0`, multiplier 1), and with no
+    /// request in sight it walks the same θ_div·(N_div + 1) quiet ticks
+    /// to shutdown every time. The walk depends on the configuration and
+    /// the divider position alone, and it is shift-invariant: started at
+    /// `t` instead of time zero, every tick lands `t` later. So one
+    /// table serves every replay whose shifted shutdown tick does not
+    /// overflow. The counter is the only state that differs between
+    /// replays; `k` clamped adds equal one clamped add of their sum (see
+    /// [`advance_idle_into`](SamplerFsm::advance_idle_into)), so it takes one add
+    /// of the table's [`max_counter`](SegmentTable::max_counter).
+    pub fn idle_chain(&self) -> Option<SegmentTable> {
+        let table = SegmentTable::build(self.base_period, self.theta_div, self.n_div, self.policy);
+        (table.shutdown < SimDuration::MAX).then_some(table)
     }
 
-    /// Replays `chain` as the quiet tick chain whose first tick is
+    /// Replays `table` as the quiet tick chain whose first tick is
     /// `first_tick`: the FSM ends in the state
     /// [`advance_idle_into`](SamplerFsm::advance_idle_into) would leave
-    /// it in, asleep, and the chain's
-    /// [`segments_from`](IdleChain::segments_from) are the segments it
+    /// it in, asleep, and the table's
+    /// [`segments_from`](SegmentTable::segments_from) are the segments it
     /// would produce. Returns the shutdown tick.
     ///
-    /// Applies only when the FSM sits at the chain's start (the reset
-    /// divider position) under the configuration the chain was computed
-    /// for, and `barrier` lies strictly after the shifted shutdown tick
-    /// (so every chain tick is due before it). Otherwise returns `None`
-    /// and leaves the FSM untouched; the caller then advances with
-    /// `advance_idle_into`. The check is a handful of compares: no
-    /// allocation, no copy of the FSM.
+    /// Applies only when the FSM sits at the reset divider position
+    /// under the configuration the table was built for, and `barrier`
+    /// lies strictly after the shifted shutdown tick (so every chain
+    /// tick is due before it; a table that never shuts down has none).
+    /// Otherwise returns `None` and leaves the FSM untouched; the caller
+    /// then advances with `advance_idle_into`. The check is a handful of
+    /// compares: no allocation, no copy of the FSM.
     ///
     /// # Panics
     ///
     /// Panics if called while asleep, like `on_tick`.
     pub fn replay_idle_chain(
         &mut self,
-        chain: &IdleChain,
+        table: &SegmentTable,
         first_tick: SimTime,
         barrier: SimTime,
     ) -> Option<SimTime> {
@@ -541,16 +447,16 @@ impl SamplerFsm {
         if self.cnt_sample != 0
             || self.cnt_div != 0
             || self.multiplier != 1
-            || self.theta_div != chain.theta_div
-            || self.n_div != chain.n_div
-            || self.policy != chain.policy
+            || self.theta_div != table.theta_div
+            || self.n_div != table.n_div
+            || self.policy != table.policy
         {
             return None;
         }
-        let shutdown = first_tick.checked_add(chain.shutdown).filter(|&s| s < barrier)?;
-        self.counter = self.counter.saturating_add(chain.increment).min(self.counter_max);
+        let shutdown = first_tick.checked_add(table.shutdown).filter(|&s| s < barrier)?;
+        self.counter = self.counter.saturating_add(table.counter_end).min(self.counter_max);
         self.cnt_div = self.n_div;
-        self.multiplier = chain.segments[chain.segments.len() - 1].multiplier;
+        self.multiplier = table.segments()[table.segments().len() - 1].multiplier;
         self.asleep = true;
         Some(shutdown)
     }
@@ -611,7 +517,7 @@ impl SamplerFsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segments::{QuantizeOutcome, SegmentTable};
+    use crate::segments::QuantizeOutcome;
 
     fn cfg() -> ClockGenConfig {
         ClockGenConfig::prototype().with_theta_div(8).with_n_div(3)
@@ -826,7 +732,7 @@ mod tests {
         fsm.on_tick(false);
     }
 
-    /// Per-tick reference for `advance_idle`: steps one quiet tick at a
+    /// Per-tick reference for `advance_idle_into`: steps one quiet tick at a
     /// time with the scheduler's exact timing rule (next tick one
     /// *post-action* period after the current one), recording every
     /// action, until the barrier or shutdown.
@@ -889,19 +795,20 @@ mod tests {
 
                             let (actions, ref_next) =
                                 reference_idle(&mut reference, first, barrier);
-                            let adv = fast.advance_idle(first, barrier);
+                            let mut segments = Vec::new();
+                            let next_tick = fast.advance_idle_into(first, barrier, &mut segments);
 
                             let case = format!(
                                 "policy {policy:?} θ={theta} N={n_div} \
                                  pre={pre_ticks} barrier={barrier_ticks}+{skew}"
                             );
                             assert_eq!(fast, reference, "final FSM state ({case})");
-                            assert_eq!(adv.next_tick, ref_next, "resume time ({case})");
-                            let covered: u64 = adv.segments.iter().map(|s| s.ticks).sum();
+                            assert_eq!(next_tick, ref_next, "resume time ({case})");
+                            let covered: u64 = segments.iter().map(|s| s.ticks).sum();
                             assert_eq!(covered, actions.len() as u64, "tick count ({case})");
 
                             let mut idx = 0usize;
-                            for seg in &adv.segments {
+                            for seg in &segments {
                                 assert!(seg.ticks >= 1, "empty segment ({case})");
                                 assert_eq!(
                                     seg.first_tick, actions[idx].0,
@@ -953,9 +860,9 @@ mod tests {
         let first = SimTime::from_us(1);
         let barrier = first + base.saturating_mul(10_000);
         let (_, ref_next) = reference_idle(&mut reference, first, barrier);
-        let adv = fast.advance_idle(first, barrier);
+        let next_tick = fast.advance_idle_into(first, barrier, &mut Vec::new());
         assert_eq!(fast, reference);
-        assert_eq!(adv.next_tick, ref_next);
+        assert_eq!(next_tick, ref_next);
         assert_eq!(fast.counter(), 63, "clamped at the 6-bit width");
     }
 
@@ -966,7 +873,53 @@ mod tests {
         while !fsm.is_asleep() {
             fsm.on_tick(false);
         }
-        fsm.advance_idle(SimTime::from_us(1), SimTime::from_us(2));
+        fsm.advance_idle_into(SimTime::from_us(1), SimTime::from_us(2), &mut Vec::new());
+    }
+
+    /// A walk past the end of the time range is built saturated, without
+    /// overflow, and is no chain: the FSM's own walk from time zero does
+    /// not shut down before the end of the time range either.
+    #[test]
+    fn saturated_walk_has_no_chain() {
+        let config = cfg().with_theta_div(u32::MAX).with_n_div(20);
+        let fsm = SamplerFsm::new(&config);
+        let mut segments = Vec::new();
+        let resume = fsm.clone().advance_idle_into(SimTime::ZERO, SimTime::MAX, &mut segments);
+        let last_tick = segments.last().expect("a walked segment").last_tick;
+        assert!(resume.is_some() || last_tick == SimTime::MAX);
+        assert!(fsm.idle_chain().is_none());
+        let table = SegmentTable::new(&config);
+        assert_eq!(table.shutdown(), SimDuration::MAX);
+        assert_eq!(table.shutdown_offset(), Some(SimDuration::MAX));
+        assert_eq!(table.max_counter(), Some(u64::from(u32::MAX) * ((1 << 21) - 1)));
+    }
+
+    /// The table's chain is the FSM's walk from the reset position, for
+    /// every shutting-down policy and θ/N knob, and a table built for
+    /// another configuration is declined.
+    #[test]
+    fn idle_chain_is_the_walk_from_reset() {
+        for policy in [DivisionPolicy::Recursive, DivisionPolicy::Linear] {
+            for (theta, n_div) in [(2u32, 0u32), (3, 1), (8, 3), (5, 6)] {
+                let config = cfg().with_policy(policy).with_theta_div(theta).with_n_div(n_div);
+                let fsm = SamplerFsm::new(&config);
+                let chain = fsm.idle_chain().expect("a shutting-down policy");
+                assert_eq!(chain, SegmentTable::new(&config));
+                let first = SimTime::from_us(3);
+                let mut walked = fsm.clone();
+                let mut segments = Vec::new();
+                assert_eq!(walked.advance_idle_into(first, SimTime::MAX, &mut segments), None);
+                assert_eq!(chain.segments_from(first).collect::<Vec<_>>(), segments);
+                let shutdown = segments.last().expect("a shutdown segment").last_tick;
+                assert_eq!(first + chain.shutdown(), shutdown);
+                assert_eq!(first + chain.first_boundary(), segments[0].last_tick);
+                let mut replayed = fsm.clone();
+                assert_eq!(replayed.replay_idle_chain(&chain, first, SimTime::MAX), Some(shutdown));
+                assert_eq!(replayed, walked);
+                let stale = SegmentTable::new(&config.with_theta_div(theta + 1));
+                assert_eq!(fsm.clone().replay_idle_chain(&stale, first, SimTime::MAX), None);
+            }
+        }
     }
 
     /// Ground-truth equivalence: stepping the FSM tick by tick and

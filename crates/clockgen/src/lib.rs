@@ -15,6 +15,13 @@
 //!   [`segments::SegmentTable`] — O(events), used for the Fig. 6/8
 //!   sweeps.
 //!
+//! The [`segments::SegmentTable`] is the one encoding of the division
+//! schedule. Besides quantizing intervals, it is the post-capture quiet
+//! walk to shutdown that the DES fast-forward replays in O(1)
+//! ([`fsm::SamplerFsm::idle_chain`],
+//! [`fsm::SamplerFsm::replay_idle_chain`]), and its
+//! [`levels`](segments::SegmentTable::levels) feed the power meter.
+//!
 //! # Examples
 //!
 //! Quantize an inter-event interval with the prototype configuration:
@@ -48,7 +55,7 @@ pub mod trim;
 
 pub use config::{ClockGenConfig, DivisionPolicy};
 pub use engine::{QuantizedEvent, SamplingEngine};
-pub use fsm::{IdleAdvance, IdleBoundary, IdleSegment, SamplerFsm};
+pub use fsm::{IdleBoundary, IdleSegment, SamplerFsm};
 pub use ring::{RingOscillator, RingOscillatorConfig};
 pub use segments::SegmentTable;
 

@@ -140,14 +140,6 @@ pub fn record_waveform(
     ClockWaveform { tracer, clk, sleep, req, divisions, shutdowns, samples }
 }
 
-/// Returns, for the Fig. 2 scenario (no requests), the expected
-/// sequence of period multipliers over time: `θ_div` ticks each of
-/// `1, 2, 4, ..., 2^N_div`, then off.
-pub fn expected_idle_multipliers(config: &ClockGenConfig) -> Vec<u64> {
-    let table = crate::segments::SegmentTable::new(config);
-    table.segments().iter().map(|s| s.multiplier).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,9 +224,17 @@ mod tests {
         assert!(sleep_lows.iter().any(|&t| t > sleep_highs[0] && t < sleep_highs[1]));
     }
 
+    /// The idle waveform divides into exactly the levels of the division
+    /// schedule, after a first level at full rate.
     #[test]
     fn expected_idle_multipliers_match_table() {
-        assert_eq!(expected_idle_multipliers(&fig2_config()), vec![1, 2, 4, 8]);
+        let cfg = fig2_config();
+        let wave = record_waveform(&cfg, &[], SimTime::from_ms(1));
+        let table = crate::segments::SegmentTable::new(&cfg);
+        let mults: Vec<u64> = table.segments().iter().map(|s| s.multiplier).collect();
+        assert_eq!(mults, vec![1, 2, 4, 8]);
+        let divisions: Vec<u64> = wave.divisions.iter().map(|&(_, m)| m).collect();
+        assert_eq!(divisions, mults[1..]);
     }
 
     #[test]

@@ -8,14 +8,23 @@
 //! inter-event interval quantized in O(segments) instead of O(ticks) —
 //! this is what makes second-long sweeps at hundreds of kevt/s cheap.
 //!
+//! The same table is the post-capture quiet walk the discrete-event
+//! interface replays in O(1)
+//! ([`replay_idle_chain`](crate::fsm::SamplerFsm::replay_idle_chain)): its
+//! [`segments_from`](SegmentTable::segments_from),
+//! [`levels`](SegmentTable::levels) and [`shutdown`](SegmentTable::shutdown)
+//! give that walk from the first tick after a reset, one `T_min` after
+//! the reset itself.
+//!
 //! The cycle-accurate FSM in [`crate::fsm`] is the ground truth; the
 //! equivalence of the two is property-tested there.
 
 use serde::{Deserialize, Serialize};
 
-use aetr_sim::time::SimDuration;
+use aetr_sim::time::{SimDuration, SimTime};
 
 use crate::config::{ClockGenConfig, DivisionPolicy};
+use crate::fsm::{IdleBoundary, IdleSegment};
 
 /// One constant-period stretch of the division schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,8 +90,19 @@ pub enum QuantizeOutcome {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentTable {
     base: SimDuration,
+    /// The division parameters the table was built for, which
+    /// `SamplerFsm::replay_idle_chain` checks against the FSM's.
+    pub(crate) theta_div: u32,
+    pub(crate) n_div: u32,
+    pub(crate) policy: DivisionPolicy,
     segments: Vec<Segment>,
     tail: Tail,
+    /// Counter value at the end of the finite segments, in `T_min`
+    /// units.
+    pub(crate) counter_end: u64,
+    /// Offset of the shutdown tick from the first tick after a reset;
+    /// `MAX` for "never" and for a walk that overflows the time range.
+    pub(crate) shutdown: SimDuration,
 }
 
 impl SegmentTable {
@@ -94,16 +114,27 @@ impl SegmentTable {
     /// validated [`ClockGenConfig`]).
     pub fn new(config: &ClockGenConfig) -> SegmentTable {
         config.validate().expect("segment table requires a valid configuration");
-        let base = config.base_sampling_period();
-        let theta = config.theta_div as u64;
-        let multipliers: Vec<u64> = match config.policy {
+        let ClockGenConfig { theta_div, n_div, policy, .. } = *config;
+        SegmentTable::build(config.base_sampling_period(), theta_div, n_div, policy)
+    }
+
+    /// Builds the table from validated division parameters. Offsets
+    /// saturate at `SimDuration::MAX` instead of overflowing.
+    pub(crate) fn build(
+        base: SimDuration,
+        theta_div: u32,
+        n_div: u32,
+        policy: DivisionPolicy,
+    ) -> SegmentTable {
+        let theta = u64::from(theta_div);
+        let multipliers: Vec<u64> = match policy {
             DivisionPolicy::Recursive | DivisionPolicy::DivideOnly => {
-                (0..=config.n_div).map(|k| 1u64 << k).collect()
+                (0..=n_div).map(|k| 1u64 << k).collect()
             }
             DivisionPolicy::Never => vec![1],
-            DivisionPolicy::Linear => (0..=config.n_div).map(|k| k as u64 + 1).collect(),
+            DivisionPolicy::Linear => (0..=n_div).map(|k| u64::from(k) + 1).collect(),
         };
-        let tail = match config.policy {
+        let tail = match policy {
             DivisionPolicy::Recursive | DivisionPolicy::Linear => Tail::Shutdown,
             DivisionPolicy::DivideOnly | DivisionPolicy::Never => {
                 Tail::Infinite { multiplier: *multipliers.last().expect("non-empty") }
@@ -118,12 +149,20 @@ impl SegmentTable {
         let mut segments = Vec::with_capacity(finite.len());
         let mut offset = SimDuration::ZERO;
         for &m in finite {
-            let len = base.saturating_mul(m).saturating_mul(theta);
-            let seg = Segment { multiplier: m, ticks: theta, start: offset, end: offset + len };
-            offset = seg.end;
-            segments.push(seg);
+            let end = offset.saturating_add(base.saturating_mul(m).saturating_mul(theta));
+            segments.push(Segment { multiplier: m, ticks: theta, start: offset, end });
+            offset = end;
         }
-        SegmentTable { base, segments, tail }
+        // θ_div < 2^32 and N_div ≤ 20 keep this sum far below 2^64.
+        let counter_end: u64 = segments.iter().map(|s| s.ticks * s.multiplier).sum();
+        // The walk from the first tick, one T_min after the reset, ends
+        // `counter_end − 1` periods later. It is a chain only when its
+        // offsets from the reset fit the time range, so none saturated.
+        let shutdown = match (tail, base.as_ps().checked_mul(counter_end)) {
+            (Tail::Shutdown, Some(end)) => SimDuration::from_ps(end) - base,
+            _ => SimDuration::MAX,
+        };
+        SegmentTable { base, theta_div, n_div, policy, segments, tail, counter_end, shutdown }
     }
 
     /// The base sampling period `T_min`.
@@ -153,7 +192,10 @@ impl SegmentTable {
     /// never-stopping policies, whose counter grows until the width
     /// clamp).
     pub fn max_counter(&self) -> Option<u64> {
-        self.shutdown_offset().map(|off| off / self.base)
+        match self.tail {
+            Tail::Shutdown => Some(self.counter_end),
+            Tail::Infinite { .. } => None,
+        }
     }
 
     /// The longest interval measurable without saturation (the paper's
@@ -162,14 +204,65 @@ impl SegmentTable {
         self.shutdown_offset()
     }
 
+    /// Offset of the shutdown tick from the first tick after a reset:
+    /// the length of the quiet walk that
+    /// [`replay_idle_chain`](crate::fsm::SamplerFsm::replay_idle_chain)
+    /// replays. `SimDuration::MAX` when the clock never shuts down or the
+    /// shutdown's offset from the reset does not fit the time range.
+    pub fn shutdown(&self) -> SimDuration {
+        self.shutdown
+    }
+
+    /// Offset of the first boundary tick (a division, or the shutdown
+    /// when `N_div = 0`) from the first tick after a reset;
+    /// `SimDuration::MAX` when there is none.
+    pub fn first_boundary(&self) -> SimDuration {
+        self.segments.first().map_or(SimDuration::MAX, |s| s.end - self.base)
+    }
+
+    /// The levels the boundaries open, in order, each as its multiplier
+    /// and its span up to the next boundary: the shape
+    /// `PowerMeter::clock_levels_then_off` takes, from the first
+    /// boundary on. Empty when `N_div = 0`.
+    pub fn levels(&self) -> impl Iterator<Item = (u64, SimDuration)> + '_ {
+        self.segments.iter().skip(1).map(|s| (s.multiplier, s.end - s.start))
+    }
+
+    /// The finite segments as the quiet walk whose first tick, one
+    /// `T_min` after a reset, is at `first_tick`: for a shutdown tail,
+    /// exactly the segments
+    /// [`advance_idle_into`](crate::fsm::SamplerFsm::advance_idle_into)
+    /// produces from the reset position with no barrier before the
+    /// shutdown.
+    pub fn segments_from(&self, first_tick: SimTime) -> impl Iterator<Item = IdleSegment> + '_ {
+        self.segments.iter().enumerate().map(move |(k, seg)| {
+            let boundary = match (self.segments.get(k + 1), self.tail) {
+                (Some(next), _) => IdleBoundary::Divided { multiplier: next.multiplier },
+                (None, Tail::Infinite { multiplier }) => IdleBoundary::Divided { multiplier },
+                (None, Tail::Shutdown) => IdleBoundary::ShutDown,
+            };
+            // A segment's first tick is one of its periods after the
+            // previous boundary, which is at `start − T_min`.
+            let period = self.base.saturating_mul(seg.multiplier);
+            IdleSegment {
+                first_tick: first_tick.saturating_add(seg.start).saturating_add(period - self.base),
+                last_tick: first_tick.saturating_add(seg.end - self.base),
+                ticks: seg.ticks,
+                multiplier: seg.multiplier,
+                boundary,
+            }
+        })
+    }
+
     /// Quantizes the interval from the last event's detection (counter
     /// reset) to the next request.
     pub fn quantize(&self, delta: SimDuration) -> QuantizeOutcome {
         for seg in &self.segments {
             if delta <= seg.end {
+                let detection_offset = self.detect_in(seg, delta);
                 return QuantizeOutcome::Sampled {
-                    detection_offset: self.detect_in(seg, delta),
-                    ticks: self.detect_in(seg, delta) / self.base,
+                    detection_offset,
+                    ticks: detection_offset / self.base,
                 };
             }
         }
@@ -193,7 +286,7 @@ impl SegmentTable {
     /// `delta <= seg.end`).
     fn detect_in(&self, seg: &Segment, delta: SimDuration) -> SimDuration {
         let step = self.base.saturating_mul(seg.multiplier);
-        let rel = delta.saturating_duration_since_zero(seg.start);
+        let rel = delta.saturating_sub(seg.start);
         if rel.is_zero() && !seg.start.is_zero() {
             // Exactly on the segment boundary: the boundary tick (the
             // previous segment's last) detects it.
@@ -268,22 +361,6 @@ fn div_ceil_duration(a: SimDuration, b: SimDuration) -> u64 {
         q + 1
     } else {
         q
-    }
-}
-
-/// Helper: saturating `a - b` clamped at zero, mirroring
-/// `SimTime::saturating_duration_since` for durations.
-trait SaturatingSinceZero {
-    fn saturating_duration_since_zero(self, earlier: SimDuration) -> SimDuration;
-}
-
-impl SaturatingSinceZero for SimDuration {
-    fn saturating_duration_since_zero(self, earlier: SimDuration) -> SimDuration {
-        if self >= earlier {
-            self - earlier
-        } else {
-            SimDuration::ZERO
-        }
     }
 }
 

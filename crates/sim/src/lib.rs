@@ -1,10 +1,9 @@
 //! # aetr-sim — deterministic discrete-event simulation kernel
 //!
 //! The foundation of the AETR reproduction: integer-picosecond time
-//! ([`time`]), a deterministic event queue with stable tie-breaking and
-//! O(1) tombstone cancellation ([`queue`]), a fixed-slot scheduler that
-//! pops the same `(time, seq)` order for models with at most one pending
-//! event per kind ([`slots`]), signal tracing ([`trace`]),
+//! ([`time`]), a fixed-slot event scheduler that pops events in a
+//! stable `(time, seq)` order for models with at most one pending event
+//! per kind ([`slots`]), signal tracing ([`trace`]),
 //! VCD waveform export ([`vcd`]), a deterministic parallel executor
 //! for independent sweep points ([`parallel`]), and per-thread recycling
 //! of per-run buffers ([`spare`]).
@@ -21,21 +20,33 @@
 //! Simulate a free-running clock and dump its waveform:
 //!
 //! ```
-//! use aetr_sim::queue::EventQueue;
+//! use aetr_sim::slots::{SlotQueue, Slotted};
 //! use aetr_sim::time::{Frequency, SimTime};
 //! use aetr_sim::trace::{TraceValue, Tracer};
 //!
+//! /// The clock's next edge, driving this level; one is pending at a time.
+//! struct Edge(bool);
+//!
+//! impl Slotted for Edge {
+//!     fn slot(&self) -> usize {
+//!         0
+//!     }
+//!     fn timeline(_index: usize) -> Edge {
+//!         unreachable!("this model has no timeline")
+//!     }
+//! }
+//!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let period = Frequency::from_mhz(30).period();
-//! let mut queue = EventQueue::new();
+//! let mut queue: SlotQueue<Edge, 1> = SlotQueue::new();
 //! let mut tracer = Tracer::new();
 //! let clk = tracer.declare_bit("clk", "top");
 //!
-//! queue.schedule_at(SimTime::ZERO, false)?;
-//! while let Some((t, level)) = queue.pop() {
+//! queue.schedule_at(SimTime::ZERO, Edge(false))?;
+//! while let Some((t, Edge(level))) = queue.pop() {
 //!     tracer.record(t, clk, TraceValue::Bit(level));
 //!     if t < SimTime::from_ns(500) {
-//!         queue.schedule_after(period / 2, !level)?;
+//!         queue.schedule_after(period / 2, Edge(!level))?;
 //!     }
 //! }
 //!
@@ -50,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod parallel;
-pub mod queue;
 pub mod slots;
 pub mod spare;
 pub mod stats;
@@ -59,8 +69,7 @@ pub mod trace;
 pub mod vcd;
 
 pub use parallel::{available_jobs, par_map};
-pub use queue::{EventHandle, EventQueue, SchedulePastError};
-pub use slots::{SlotError, SlotQueue, Slotted};
+pub use slots::{SchedulePastError, SlotError, SlotQueue, Slotted};
 pub use stats::OnlineStats;
 pub use time::{Frequency, SimDuration, SimTime};
 pub use trace::{TraceValue, Tracer};
@@ -69,102 +78,9 @@ pub use trace::{TraceValue, Tracer};
 mod proptests {
     use proptest::prelude::*;
 
-    use crate::queue::EventQueue;
-    use crate::time::{SimDuration, SimTime};
+    use crate::time::SimDuration;
 
     proptest! {
-        /// Popping always yields a non-decreasing time sequence,
-        /// regardless of the order events were scheduled in.
-        #[test]
-        fn pops_are_monotonic(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-            let mut q = EventQueue::new();
-            for &t in &times {
-                q.schedule_at(SimTime::from_ps(t), t).unwrap();
-            }
-            let mut last = SimTime::ZERO;
-            while let Some((t, _)) = q.pop() {
-                prop_assert!(t >= last);
-                last = t;
-            }
-        }
-
-        /// Every scheduled (non-cancelled) event pops exactly once.
-        #[test]
-        fn conservation_of_events(times in proptest::collection::vec(0u64..1_000, 0..100)) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule_at(SimTime::from_ps(t), i).unwrap();
-            }
-            let mut popped: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|(_, i)| i).collect();
-            popped.sort_unstable();
-            prop_assert_eq!(popped, (0..times.len()).collect::<Vec<_>>());
-        }
-
-        /// The tombstone queue pops the identical `(time, seq)` order as
-        /// a naive reference model (linear scan for the minimum live
-        /// entry) under random interleavings of schedule, cancel, and
-        /// pop — and `len()`/`cancel()` return values agree at every
-        /// step, including across slot reuse.
-        #[test]
-        fn tombstone_queue_matches_reference_model(
-            ops in proptest::collection::vec((0u8..10, 0u64..1_000), 1..400),
-        ) {
-            // Model entry: (time, seq, cancelled, popped).
-            let mut q: EventQueue<u64> = EventQueue::new();
-            let mut model: Vec<(SimTime, u64, bool, bool)> = Vec::new();
-            let mut handles = Vec::new();
-            let mut model_now = SimTime::ZERO;
-            for &(sel, param) in &ops {
-                match sel {
-                    // Schedule (weighted 6/10 so the queue stays busy).
-                    0..=5 => {
-                        let at = model_now.checked_add(SimDuration::from_ps(param)).unwrap();
-                        let seq = model.len() as u64;
-                        handles.push(q.schedule_at(at, seq).unwrap());
-                        model.push((at, seq, false, false));
-                    }
-                    // Cancel a (possibly stale) handle.
-                    6 | 7 => {
-                        if !handles.is_empty() {
-                            let k = (param as usize) % handles.len();
-                            let expect = !model[k].2 && !model[k].3;
-                            prop_assert_eq!(q.cancel(handles[k]), expect);
-                            model[k].2 = true;
-                        }
-                    }
-                    // Pop, comparing against the model's minimum live entry.
-                    _ => {
-                        let pick = model
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, e)| !e.2 && !e.3)
-                            .min_by_key(|(_, e)| (e.0, e.1))
-                            .map(|(i, _)| i);
-                        match (q.pop(), pick) {
-                            (Some((t, seq)), Some(i)) => {
-                                prop_assert_eq!((t, seq), (model[i].0, model[i].1));
-                                model[i].3 = true;
-                                model_now = t;
-                                prop_assert_eq!(q.now(), model_now);
-                            }
-                            (None, None) => {}
-                            (got, want) => {
-                                prop_assert!(false, "pop mismatch: got {:?}, want {:?}", got, want);
-                            }
-                        }
-                    }
-                }
-                let live = model.iter().filter(|e| !e.2 && !e.3).count();
-                prop_assert_eq!(q.len(), live);
-            }
-            // Draining pops the surviving entries in exact (time, seq) order.
-            let mut remaining: Vec<(SimTime, u64)> =
-                model.iter().filter(|e| !e.2 && !e.3).map(|e| (e.0, e.1)).collect();
-            remaining.sort();
-            let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
-            prop_assert_eq!(drained, remaining);
-        }
-
         /// Duration arithmetic: (a + b) - b == a for non-overflowing pairs.
         #[test]
         fn duration_add_sub_roundtrip(a in 0u64..u64::MAX / 2, b in 0u64..u64::MAX / 2) {

@@ -1,27 +1,27 @@
 //! A fixed-slot event scheduler for models that never have more than
 //! one pending event of each kind.
 //!
-//! A general [`EventQueue`](crate::queue::EventQueue) pays for a heap
-//! and a slab on every schedule and pop. Many hardware models need far
-//! less: each kind of event (the next clock edge, the next request, the
-//! frame in flight, ...) is pending at most once. [`SlotQueue`] gives
-//! each kind one slot holding its `(time, sequence number, event)`, plus
-//! a cursor over a time-sorted *timeline* of events fixed before the run
-//! (host register writes, say). [`pop`](SlotQueue::pop) and
-//! [`peek_time`](SlotQueue::peek_time) take the minimum `(time, seq)`
-//! over the slots and the timeline's next entry.
+//! A general event queue pays for a heap on every schedule and pop.
+//! Hardware models need far less: each kind of event (the next clock
+//! edge, the next request, the frame in flight, ...) is pending at most
+//! once. [`SlotQueue`] gives each kind one slot holding its
+//! `(time, sequence number, event)`, plus a cursor over a time-sorted
+//! *timeline* of events fixed before the run (host register writes,
+//! say). [`pop`](SlotQueue::pop) and [`peek_time`](SlotQueue::peek_time)
+//! take the minimum `(time, seq)` over the slots and the timeline's next
+//! entry.
 //!
-//! # Same order as `EventQueue`
+//! # Deterministic order
 //!
-//! The scheduler is a drop-in for the subset of the `EventQueue` API a
-//! run loop uses, and it pops the same stream. Timeline entry `i`
-//! carries sequence number `i`, exactly as if all `n` entries had been
-//! scheduled into a fresh `EventQueue` first; slot events take `n`,
-//! `n + 1`, ... in scheduling order. So a timeline entry wins a tie with
-//! any slot event, and tied slot events pop in the order they were
-//! scheduled. [`ops`](SlotQueue::ops) counts what `EventQueue::ops`
-//! counts: the `n` timeline entries, every successful schedule and
-//! every pop.
+//! Events pop in `(time, sequence number)` order, so a simulation is a
+//! pure function of its inputs. Timeline entry `i` carries sequence
+//! number `i`, as if all `n` entries had been scheduled first; slot
+//! events take `n`, `n + 1`, ... in scheduling order. So a timeline
+//! entry wins a tie with any slot event, and tied slot events pop in
+//! the order they were scheduled. [`ops`](SlotQueue::ops) counts the `n`
+//! timeline entries, every successful schedule and every pop. The
+//! `slot_scheduler` proptest pins all of this against a sorted-list
+//! model.
 //!
 //! Scheduling into an occupied slot is an error, like scheduling in the
 //! past: it means the model broke its one-pending-per-kind invariant,
@@ -39,8 +39,31 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::queue::SchedulePastError;
 use crate::time::{SimDuration, SimTime};
+
+/// Error returned when scheduling an event in the simulated past.
+///
+/// A discrete-event simulation must never travel backwards; allowing it
+/// silently would reorder causality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchedulePastError {
+    /// The current simulation time.
+    pub now: SimTime,
+    /// The (invalid) requested activation time.
+    pub requested: SimTime,
+}
+
+impl fmt::Display for SchedulePastError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "cannot schedule event at {} in the past of simulation time {}",
+            self.requested, self.now
+        )
+    }
+}
+
+impl Error for SchedulePastError {}
 
 /// An event kind with a fixed slot in a [`SlotQueue`].
 pub trait Slotted {
@@ -176,7 +199,7 @@ impl<E: Slotted, const N: usize> SlotQueue<E, N> {
     /// A scheduler at time zero whose timeline holds one event per
     /// entry of `times`, due at that time ([`Slotted::timeline`] names
     /// it by its index). Counts one operation per entry, as scheduling
-    /// them into an [`EventQueue`](crate::queue::EventQueue) would.
+    /// each of them would.
     ///
     /// # Panics
     ///
@@ -197,8 +220,8 @@ impl<E: Slotted, const N: usize> SlotQueue<E, N> {
     }
 
     /// Scheduling operations performed so far: timeline entries,
-    /// successful schedules and pops (the same count as
-    /// [`EventQueue::ops`](crate::queue::EventQueue::ops)).
+    /// successful schedules and pops. Refused schedules and pops of an
+    /// empty queue are not operations.
     pub fn ops(&self) -> u64 {
         self.ops
     }

@@ -208,16 +208,19 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Checked duration doubling; `None` on overflow. Used by the
-    /// recursive clock-division logic where the sampling period doubles
-    /// on every division step.
-    pub fn checked_double(self) -> Option<SimDuration> {
-        self.0.checked_mul(2).map(SimDuration)
-    }
-
     /// Saturating multiplication by an integer factor.
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
+    }
+
+    /// Saturating addition: `MAX` on overflow.
+    pub fn saturating_add(self, d: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(d.0))
+    }
+
+    /// Saturating subtraction: zero when `d` is longer.
+    pub fn saturating_sub(self, d: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_sub(d.0))
     }
 
     /// The frequency whose period is this duration.
@@ -497,12 +500,6 @@ mod tests {
         let period = SimDuration::from_ns(100);
         assert_eq!(span / period, 10);
         assert_eq!(span % period, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn checked_double_detects_overflow() {
-        assert_eq!(SimDuration::from_ns(1).checked_double(), Some(SimDuration::from_ns(2)));
-        assert_eq!(SimDuration::MAX.checked_double(), None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Differential pinning of the fixed-slot scheduler against its
 //! reference model: random schedule / pop / `peek_time` / `advance_to`
 //! sequences, with a random time-sorted timeline, drive a [`SlotQueue`]
-//! and an [`EventQueue`] side by side. They must agree on every popped
+//! and a [`SortedModel`] — every pending event in one list sorted by
+//! `(time, seq)` — side by side. They must agree on every popped
 //! `(time, event)`, on `now()`, `ops()` and `peek_time()` after every
 //! step, and on every refusal: a schedule in the past fails on both
 //! with the same error, and a schedule into an occupied slot fails on
@@ -14,8 +15,7 @@
 
 use proptest::prelude::*;
 
-use aetr_sim::queue::EventQueue;
-use aetr_sim::slots::{SlotError, SlotQueue, Slotted};
+use aetr_sim::slots::{SchedulePastError, SlotError, SlotQueue, Slotted};
 use aetr_sim::time::{SimDuration, SimTime};
 
 /// Event kinds with a slot each.
@@ -105,17 +105,69 @@ fn arbitrary_timeline() -> impl Strategy<Value = Vec<SimTime>> {
     })
 }
 
-/// Both queues plus the reference's occupancy, which `EventQueue` does
-/// not track itself.
+/// The reference scheduler: pending `(time, seq, event)` entries kept
+/// sorted, so the next pop is the front. Every successful schedule and
+/// every pop is an op; a refusal is not.
+#[derive(Default)]
+struct SortedModel {
+    pending: Vec<(SimTime, u64, Ev)>,
+    now: SimTime,
+    next_seq: u64,
+    ops: u64,
+}
+
+impl SortedModel {
+    fn schedule_at(&mut self, at: SimTime, ev: Ev) -> Result<(), SchedulePastError> {
+        if at < self.now {
+            return Err(SchedulePastError { now: self.now, requested: at });
+        }
+        let key = (at, self.next_seq);
+        let index = self.pending.partition_point(|&(t, seq, _)| (t, seq) < key);
+        self.pending.insert(index, (at, self.next_seq, ev));
+        self.next_seq += 1;
+        self.ops += 1;
+        Ok(())
+    }
+
+    fn schedule_after(&mut self, delay: SimDuration, ev: Ev) -> Result<(), SchedulePastError> {
+        let at = self
+            .now
+            .checked_add(delay)
+            .ok_or(SchedulePastError { now: self.now, requested: SimTime::MAX })?;
+        self.schedule_at(at, ev)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let (t, _, ev) = self.pending.remove(0);
+        self.now = t;
+        self.ops += 1;
+        Some((t, ev))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.pending.first().map(|&(t, _, _)| t)
+    }
+
+    fn advance_to(&mut self, t: SimTime) {
+        assert!(t >= self.now, "the model's clock went backwards");
+        self.now = t;
+    }
+}
+
+/// Both queues plus the reference's occupancy, which the model does not
+/// track itself.
 struct Pair {
     slots: SlotQueue<Ev, KINDS>,
-    reference: EventQueue<Ev>,
+    reference: SortedModel,
     pending: [Option<SimTime>; KINDS],
 }
 
 impl Pair {
     fn new(timeline: &[SimTime]) -> Pair {
-        let mut reference = EventQueue::new();
+        let mut reference = SortedModel::default();
         for (i, &t) in timeline.iter().enumerate() {
             reference.schedule_at(t, Ev::Write(i)).expect("time zero is never in the past");
         }
@@ -170,7 +222,7 @@ impl Pair {
         }
         let (got, want) = (
             (self.slots.now(), self.slots.ops(), self.slots.peek_time()),
-            (self.reference.now(), self.reference.ops(), self.reference.peek_time()),
+            (self.reference.now, self.reference.ops, self.reference.peek_time()),
         );
         if got != want {
             return Err(format!(
@@ -183,13 +235,13 @@ impl Pair {
     /// Checks the slot queue's answer `got` to scheduling `kind` at
     /// `at`, and issues the same schedule to the reference unless the
     /// slot was occupied.
-    fn check_schedule<H: std::fmt::Debug>(
+    fn check_schedule(
         &mut self,
         kind: usize,
         at: SimTime,
         past: bool,
         got: Result<(), SlotError>,
-        schedule: impl FnOnce(&mut EventQueue<Ev>) -> Result<H, aetr_sim::SchedulePastError>,
+        schedule: impl FnOnce(&mut SortedModel) -> Result<(), SchedulePastError>,
     ) -> Result<(), String> {
         match (past, self.pending[kind]) {
             (false, Some(pending)) => {
@@ -199,7 +251,7 @@ impl Pair {
                 }
             }
             _ => {
-                let want = schedule(&mut self.reference).map(|_| ()).map_err(SlotError::Past);
+                let want = schedule(&mut self.reference).map_err(SlotError::Past);
                 if got != want {
                     return Err(format!("schedule at {at}: slots {got:?}, reference {want:?}"));
                 }
@@ -215,10 +267,10 @@ impl Pair {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The slot queue is observationally equal to `EventQueue` on every
-    /// schedule sequence that keeps one pending event per kind.
+    /// The slot queue is observationally equal to the sorted model on
+    /// every schedule sequence that keeps one pending event per kind.
     #[test]
-    fn slot_queue_matches_event_queue(
+    fn slot_queue_matches_sorted_model(
         timeline in arbitrary_timeline(),
         ops in proptest::collection::vec(arbitrary_op(), 0..160),
     ) {
@@ -232,7 +284,7 @@ proptest! {
         loop {
             let got = pair.slots.pop();
             prop_assert_eq!(got, pair.reference.pop());
-            prop_assert_eq!(pair.slots.ops(), pair.reference.ops());
+            prop_assert_eq!(pair.slots.ops(), pair.reference.ops);
             if got.is_none() {
                 break;
             }
