@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use aetr::quantizer::quantize_train;
 use aetr_aer::generator::{PoissonGenerator, SpikeSource};
 use aetr_clockgen::config::{ClockGenConfig, DivisionPolicy};
+use aetr_clockgen::engine::SamplingEngine;
 use aetr_clockgen::segments::SegmentTable;
 use aetr_sim::time::{SimDuration, SimTime};
 
@@ -42,13 +43,17 @@ fn bench_segment_quantize(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_usage_accounting(c: &mut Criterion) {
-    let table = SegmentTable::new(&ClockGenConfig::prototype());
-    c.bench_function("segment_table/usage_until", |b| {
+fn bench_sampling_engine(c: &mut Criterion) {
+    let mut engine = SamplingEngine::new(&ClockGenConfig::prototype());
+    c.bench_function("sampling_engine/process", |b| {
         let mut i = 1u64;
+        let mut t = SimTime::ZERO;
         b.iter(|| {
-            i = i.wrapping_mul(48_271) % 1_000_000_000;
-            std::hint::black_box(table.usage_until(SimDuration::from_ps(i + 1)))
+            // Gaps up to 200 µs: about a third stay inside the ~64 µs
+            // measurable range, the rest pass the shutdown and wake.
+            i = i.wrapping_mul(48_271) % 2_147_483_647;
+            t += SimDuration::from_ps(i % 200_000_000);
+            std::hint::black_box(engine.process(t))
         });
     });
 }
@@ -56,6 +61,6 @@ fn bench_usage_accounting(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_quantize_train, bench_segment_quantize, bench_usage_accounting
+    targets = bench_quantize_train, bench_segment_quantize, bench_sampling_engine
 }
 criterion_main!(benches);

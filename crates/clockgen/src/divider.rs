@@ -83,11 +83,6 @@ impl DividerChain {
     pub fn output_period(&self, input_period: SimDuration) -> SimDuration {
         input_period.saturating_mul(self.ratio())
     }
-
-    /// Number of flip-flops toggling, for the resource model.
-    pub fn flop_count(&self) -> u32 {
-        self.stages
-    }
 }
 
 #[cfg(test)]
@@ -114,10 +109,5 @@ mod tests {
         assert!(DividerChain::new(33).is_err());
         assert!(DividerChain::new(32).is_ok());
         assert!(DividerChain::new(33).unwrap_err().to_string().contains("32"));
-    }
-
-    #[test]
-    fn flop_count_matches_stages() {
-        assert_eq!(DividerChain::new(5).unwrap().flop_count(), 5);
     }
 }

@@ -2,16 +2,19 @@
 //!
 //! Folds a stream of AER request times through the
 //! [`crate::segments::SegmentTable`], producing per-event
-//! quantized timestamps and an exact clock-activity breakdown for the
-//! power model — the "Matlab-equivalent" model behind Fig. 6 and the
-//! workload half of Fig. 8, but O(events) rather than O(clock ticks).
+//! quantized timestamps and narrating the clock's activity to a
+//! [`PowerMeter`], as the discrete-event interface does — the
+//! "Matlab-equivalent" model behind Fig. 6 and the workload half of
+//! Fig. 8, but O(events) rather than O(clock ticks).
 
 use serde::{Deserialize, Serialize};
 
+use aetr_power::meter::PowerMeter;
+use aetr_power::model::ActivityInput;
 use aetr_sim::time::{SimDuration, SimTime};
 
 use crate::config::ClockGenConfig;
-use crate::segments::{IntervalUsage, QuantizeOutcome, SegmentTable};
+use crate::segments::{QuantizeOutcome, SegmentTable, Tail};
 
 /// One event as seen by the sampling engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,30 +41,6 @@ impl QuantizedEvent {
     }
 }
 
-/// Aggregate clock activity over a whole run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ActivityReport {
-    /// Per-multiplier active time plus off time.
-    pub usage: IntervalUsage,
-    /// Number of ring-oscillator restarts.
-    pub wake_count: u64,
-    /// Number of events processed.
-    pub event_count: u64,
-    /// Number of saturated timestamps.
-    pub saturated_count: u64,
-}
-
-impl ActivityReport {
-    /// Fraction of events with saturated timestamps.
-    pub fn saturation_ratio(&self) -> f64 {
-        if self.event_count == 0 {
-            0.0
-        } else {
-            self.saturated_count as f64 / self.event_count as f64
-        }
-    }
-}
-
 /// The behavioral sampling engine.
 ///
 /// # Examples
@@ -75,15 +54,16 @@ impl ActivityReport {
 /// let ev = engine.process(SimTime::from_us(10));
 /// assert!(!ev.saturated);
 /// assert!(ev.detection >= ev.request);
+/// let activity = engine.finish(SimTime::from_ms(1));
+/// assert_eq!(activity.event_count, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplingEngine {
     table: SegmentTable,
-    base_period: SimDuration,
     wake_latency: SimDuration,
     counter_max: u64,
     last_detection: SimTime,
-    report: ActivityReport,
+    meter: PowerMeter,
 }
 
 impl SamplingEngine {
@@ -95,17 +75,11 @@ impl SamplingEngine {
     pub fn new(config: &ClockGenConfig) -> SamplingEngine {
         SamplingEngine {
             table: SegmentTable::new(config),
-            base_period: config.base_sampling_period(),
             wake_latency: config.ring.wake_latency,
             counter_max: config.counter_max(),
             last_detection: SimTime::ZERO,
-            report: ActivityReport::default(),
+            meter: PowerMeter::new(SimTime::ZERO),
         }
-    }
-
-    /// The precomputed segment table in use.
-    pub fn table(&self) -> &SegmentTable {
-        &self.table
     }
 
     /// Processes the next AER request. Requests must be fed in
@@ -114,99 +88,76 @@ impl SamplingEngine {
     /// available tick (AER serialisation).
     pub fn process(&mut self, request: SimTime) -> QuantizedEvent {
         let delta = request.saturating_duration_since(self.last_detection);
-        let (event, busy_until) = match self.table.quantize(delta) {
+        let event = match self.table.quantize(delta) {
             QuantizeOutcome::Sampled { detection_offset, ticks } => {
-                let detection = self.last_detection + detection_offset;
+                self.narrate_walk(detection_offset);
                 let clamped = ticks.min(self.counter_max);
-                let event = QuantizedEvent {
+                QuantizedEvent {
                     request,
-                    detection,
+                    detection: self.last_detection + detection_offset,
                     timestamp_ticks: clamped,
                     saturated: clamped != ticks,
                     woke_clock: false,
-                };
-                (event, detection_offset)
+                }
             }
-            QuantizeOutcome::Asleep { frozen_ticks, off_since } => {
-                // Clock off: REQ restarts the oscillator; first usable
-                // tick lands one base period after the wake latency.
-                let detection = request + self.wake_latency + self.base_period;
-                let clamped = frozen_ticks.min(self.counter_max);
-                let event = QuantizedEvent {
+            QuantizeOutcome::Asleep { frozen_ticks, .. } => {
+                // Clock off: REQ restarts the oscillator at full speed;
+                // the first usable tick lands one base period after the
+                // wake latency.
+                self.narrate_walk(delta);
+                self.meter.wake();
+                self.meter.clock_multiplier(request, 1);
+                QuantizedEvent {
                     request,
-                    detection,
-                    timestamp_ticks: clamped,
+                    detection: request + self.wake_latency + self.table.base_period(),
+                    timestamp_ticks: frozen_ticks.min(self.counter_max),
                     saturated: true,
                     woke_clock: true,
-                };
-                self.report.wake_count += 1;
-                // Active time: segments up to shutdown, then off until
-                // the request, then the wake interval at full speed.
-                let mut usage = self.table.usage_until(off_since);
-                usage.off += delta - off_since;
-                usage.add_active(1, self.wake_latency + self.base_period);
-                self.account(event, usage);
-                self.last_detection = detection;
-                return event;
+                }
             }
         };
-        let usage = self.table.usage_until(busy_until);
-        self.account(event, usage);
+        self.meter.event(1);
         self.last_detection = event.detection;
         event
     }
 
-    fn account(&mut self, event: QuantizedEvent, usage: IntervalUsage) {
-        self.report.usage.merge(&usage);
-        self.report.event_count += 1;
-        if event.saturated {
-            self.report.saturated_count += 1;
+    /// Narrates the division schedule from the last reset up to
+    /// `until` after it: one multiplier per segment that starts before
+    /// `until`, then the tail's shutdown or everlasting multiplier if
+    /// `until` passes its start.
+    fn narrate_walk(&mut self, until: SimDuration) {
+        let reset = self.last_detection;
+        let mut tail_start = SimDuration::ZERO;
+        for seg in self.table.segments() {
+            if until <= seg.start {
+                return;
+            }
+            self.meter.clock_multiplier(reset + seg.start, seg.multiplier);
+            tail_start = seg.end;
+        }
+        if until > tail_start {
+            match self.table.tail() {
+                Tail::Shutdown => self.meter.clock_off(reset + tail_start),
+                Tail::Infinite { multiplier } => {
+                    self.meter.clock_multiplier(reset + tail_start, multiplier)
+                }
+            }
         }
     }
 
-    /// Accounts for the trailing quiet interval up to `horizon` (no
-    /// event there; the clock divides and eventually stops on its own).
-    ///
-    /// Call once at the end of a run so that the activity report covers
-    /// exactly `[0, horizon]`.
-    pub fn finish(&mut self, horizon: SimTime) -> &ActivityReport {
-        let tail = horizon.saturating_duration_since(self.last_detection);
-        if !tail.is_zero() {
-            let usage = self.table.usage_until(tail);
-            self.report.usage.merge(&usage);
-            self.last_detection = horizon;
-        }
-        &self.report
-    }
-
-    /// The activity report accumulated so far.
-    pub fn report(&self) -> &ActivityReport {
-        &self.report
+    /// Narrates the trailing quiet interval up to `horizon` (no event
+    /// there; the clock divides and eventually stops on its own) and
+    /// returns the activity record over `[0, max(horizon, last
+    /// detection)]`: a detection past `horizon` extends it.
+    pub fn finish(mut self, horizon: SimTime) -> ActivityInput {
+        self.narrate_walk(horizon.saturating_duration_since(self.last_detection));
+        self.meter.finish(horizon.max(self.last_detection))
     }
 
     /// The base sampling period `T_min`.
     pub fn base_period(&self) -> SimDuration {
-        self.base_period
+        self.table.base_period()
     }
-}
-
-/// Quantizes a whole request-time sequence in one call, returning the
-/// events and the activity over `[0, horizon]`.
-///
-/// # Panics
-///
-/// Panics if `requests` is not sorted by non-decreasing time or if the
-/// configuration is invalid.
-pub fn quantize_requests(
-    config: &ClockGenConfig,
-    requests: &[SimTime],
-    horizon: SimTime,
-) -> (Vec<QuantizedEvent>, ActivityReport) {
-    assert!(requests.windows(2).all(|w| w[1] >= w[0]), "requests must be time-sorted");
-    let mut engine = SamplingEngine::new(config);
-    let events = requests.iter().map(|&r| engine.process(r)).collect();
-    engine.finish(horizon);
-    (events, engine.report)
 }
 
 #[cfg(test)]
@@ -252,7 +203,14 @@ mod tests {
         assert!(ev.woke_clock);
         assert_eq!(ev.timestamp_ticks, 64 * 15);
         assert_eq!(ev.detection, ev.request + cfg.ring.wake_latency + base());
-        assert_eq!(engine.report().wake_count, 1);
+        let activity = engine.finish(SimTime::ZERO);
+        assert_eq!(activity.wake_count, 1);
+        // The walk to shutdown, off until the request, then the wake
+        // latency and one base period at full speed.
+        let full_speed = base() * 64 + cfg.ring.wake_latency + base();
+        assert_eq!(activity.active[0], (1, full_speed));
+        assert_eq!(activity.off, beyond - table.shutdown_offset().unwrap());
+        assert_eq!(activity.span(), ev.detection - SimTime::ZERO);
     }
 
     #[test]
@@ -272,29 +230,33 @@ mod tests {
 
     #[test]
     fn activity_covers_whole_horizon() {
-        let cfg = proto();
         let horizon = SimTime::from_ms(50);
-        let requests: Vec<SimTime> = (1..=100).map(|i| SimTime::from_us(i * 400)).collect();
-        let (_, report) = quantize_requests(&cfg, &requests, horizon);
-        let total = report.usage.total();
-        // The accounted time equals the horizon, minus only the wake
-        // overlap corrections (bounded by wakes · (wake+base)).
-        let slack = SimDuration::from_us(1).saturating_mul(report.wake_count + 1);
-        let lo = horizon.saturating_duration_since(SimTime::ZERO) - slack;
-        let hi = horizon.saturating_duration_since(SimTime::ZERO) + slack;
-        assert!(total >= lo && total <= hi, "accounted {total} vs horizon 50 ms");
+        let mut engine = SamplingEngine::new(&proto());
+        let last = (1..=100).map(|i| engine.process(SimTime::from_us(i * 400))).last().unwrap();
+        let activity = engine.finish(horizon);
+        assert!(activity.wake_count > 0, "400 us gaps pass the ~64 us range");
+        assert_eq!(activity.span(), horizon.max(last.detection) - SimTime::ZERO);
+    }
+
+    #[test]
+    fn detection_past_the_horizon_extends_the_record() {
+        let mut engine = SamplingEngine::new(&proto());
+        let ev = engine.process(SimTime::from_ms(1));
+        assert!(ev.woke_clock);
+        let activity = engine.finish(ev.request);
+        assert_eq!(activity.span(), ev.detection - SimTime::ZERO);
     }
 
     #[test]
     fn no_division_policy_never_sleeps() {
         let cfg = proto().with_policy(DivisionPolicy::Never);
-        let requests = vec![SimTime::from_ms(1), SimTime::from_secs(1)];
-        let (events, report) = quantize_requests(&cfg, &requests, SimTime::from_secs(2));
-        assert_eq!(report.wake_count, 0);
+        let mut engine = SamplingEngine::new(&cfg);
+        let events = [SimTime::from_ms(1), SimTime::from_secs(1)].map(|r| engine.process(r));
+        let activity = engine.finish(SimTime::from_secs(2));
+        assert_eq!(activity.wake_count, 0);
         assert!(events.iter().all(|e| !e.woke_clock));
-        assert_eq!(report.usage.off, SimDuration::ZERO);
-        assert_eq!(report.usage.active.len(), 1);
-        assert_eq!(report.usage.active[0].0, 1);
+        assert_eq!(activity.off, SimDuration::ZERO);
+        assert_eq!(activity.active, vec![(1, SimDuration::from_secs(2))]);
     }
 
     #[test]
@@ -341,15 +303,5 @@ mod tests {
             worst = worst.max((measured - truth).abs() / truth);
         }
         assert!(worst < 2.0 / 64.0 + 0.01, "worst active-region error {worst}");
-    }
-
-    #[test]
-    #[should_panic(expected = "time-sorted")]
-    fn unsorted_requests_panic() {
-        let _ = quantize_requests(
-            &proto(),
-            &[SimTime::from_us(5), SimTime::from_us(1)],
-            SimTime::from_ms(1),
-        );
     }
 }

@@ -60,8 +60,6 @@ pub struct JitteredClock {
     nominal: SimDuration,
     config: JitterConfig,
     rng: StdRng,
-    /// Accumulated phase error in picoseconds (diagnostics).
-    phase_error_ps: i64,
 }
 
 impl JitteredClock {
@@ -76,7 +74,7 @@ impl JitteredClock {
             config.period_rms.is_finite() && config.period_rms >= 0.0,
             "period_rms must be non-negative and finite"
         );
-        JitteredClock { nominal, config, rng: StdRng::seed_from_u64(seed), phase_error_ps: 0 }
+        JitteredClock { nominal, config, rng: StdRng::seed_from_u64(seed) }
     }
 
     /// Standard Gaussian sample (Box–Muller; two uniforms per call,
@@ -97,13 +95,7 @@ impl JitteredClock {
         let sigma_ps = self.nominal.as_ps() as f64 * self.config.period_rms;
         let dev = (self.gaussian() * sigma_ps)
             .clamp(-(self.nominal.as_ps() as f64) / 2.0, self.nominal.as_ps() as f64 / 2.0);
-        self.phase_error_ps += dev.round() as i64;
         SimDuration::from_ps((self.nominal.as_ps() as i64 + dev.round() as i64) as u64)
-    }
-
-    /// Accumulated phase error since construction (random walk).
-    pub fn phase_error(&self) -> i64 {
-        self.phase_error_ps
     }
 
     /// The nominal period.
@@ -151,7 +143,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(clock.next_period(), nominal());
         }
-        assert_eq!(clock.phase_error(), 0);
     }
 
     #[test]

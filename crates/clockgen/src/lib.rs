@@ -15,6 +15,12 @@
 //!   [`segments::SegmentTable`] — O(events), used for the Fig. 6/8
 //!   sweeps.
 //!
+//! Both narrate the clock's activity to one
+//! [`PowerMeter`](aetr_power::meter::PowerMeter), so both power paths
+//! produce the same [`ActivityInput`](aetr_power::model::ActivityInput)
+//! record: the engine walks the table's segments between events, the
+//! DES interface its FSM's transitions.
+//!
 //! The [`segments::SegmentTable`] is the one encoding of the division
 //! schedule. Besides quantizing intervals, it is the post-capture quiet
 //! walk to shutdown that the DES fast-forward replays in O(1)
@@ -56,7 +62,7 @@ pub mod trim;
 pub use config::{ClockGenConfig, DivisionPolicy};
 pub use engine::{QuantizedEvent, SamplingEngine};
 pub use fsm::{IdleBoundary, IdleSegment, SamplerFsm};
-pub use ring::{RingOscillator, RingOscillatorConfig};
+pub use ring::RingOscillatorConfig;
 pub use segments::SegmentTable;
 
 #[cfg(test)]
@@ -129,8 +135,8 @@ mod proptests {
             }
         }
 
-        /// Usage accounting is exact: active + off time equals the
-        /// quantized horizon for an idle stretch.
+        /// Activity accounting is exact: active + off time equals the
+        /// horizon for an idle stretch.
         #[test]
         fn idle_usage_is_exact(
             until_ps in 1u64..100_000_000_000u64,
@@ -138,10 +144,8 @@ mod proptests {
             n in 0u32..8,
         ) {
             let cfg = ClockGenConfig::prototype().with_theta_div(theta).with_n_div(n);
-            let table = SegmentTable::new(&cfg);
-            let until = SimDuration::from_ps(until_ps);
-            let usage = table.usage_until(until);
-            prop_assert_eq!(usage.total(), until);
+            let activity = SamplingEngine::new(&cfg).finish(SimTime::from_ps(until_ps));
+            prop_assert_eq!(activity.span(), SimDuration::from_ps(until_ps));
         }
 
         /// The detection overshoot is bounded by the slowest segment's

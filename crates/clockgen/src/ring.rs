@@ -7,15 +7,33 @@
 //! sleep request is converted into a *pulse* by an inverter chain whose
 //! length must exceed a clock semi-period; restart is asynchronous
 //! (the AER `REQ` feeds the NOR) and costs roughly 100 ns.
+//!
+//! The oscillator is modelled by its static [`RingOscillatorConfig`]:
+//! its period sets the reference clock, and its wake latency is the
+//! restart delay the interface's wake path and the behavioural
+//! [engine](crate::engine) apply. Its running time and wakes are the
+//! clock activity both narrate to a power meter.
 
 use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use aetr_sim::time::{Frequency, SimDuration, SimTime};
+use aetr_sim::time::{Frequency, SimDuration};
 
 /// Static description of a ring oscillator.
+///
+/// # Examples
+///
+/// ```
+/// use aetr_clockgen::ring::RingOscillatorConfig;
+/// use aetr_sim::time::SimDuration;
+///
+/// let ring = RingOscillatorConfig::igloo_nano();
+/// assert!(ring.validate().is_ok());
+/// assert_eq!(ring.period(), SimDuration::from_ps(8_320)); // ≈120 MHz
+/// assert_eq!(ring.wake_latency, SimDuration::from_ns(100));
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RingOscillatorConfig {
     /// Number of inverting stages in the loop; must be odd and ≥ 3.
@@ -126,119 +144,6 @@ impl fmt::Display for RingOscillatorError {
 
 impl Error for RingOscillatorError {}
 
-/// Run state of the oscillator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OscState {
-    /// Oscillating; edges continue from `since`.
-    Running {
-        /// When the current run started (first edge reference).
-        since: SimTime,
-    },
-    /// Loop broken by the sleep pulse; no edges until restarted.
-    Sleeping,
-}
-
-/// Dynamic model of the pausable ring oscillator.
-///
-/// # Examples
-///
-/// ```
-/// use aetr_clockgen::ring::{RingOscillator, RingOscillatorConfig};
-/// use aetr_sim::time::SimTime;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut ro = RingOscillator::new(RingOscillatorConfig::igloo_nano())?;
-/// let first_edge = ro.start(SimTime::ZERO);
-/// assert_eq!(first_edge, SimTime::from_ns(100)); // wake latency
-/// ro.stop(SimTime::from_us(5));
-/// assert!(!ro.is_running());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RingOscillator {
-    config: RingOscillatorConfig,
-    state: OscState,
-    /// Cumulative time spent running (for power accounting).
-    running_time: SimDuration,
-    /// Number of start (wake) transitions.
-    wake_count: u64,
-    last_transition: SimTime,
-}
-
-impl RingOscillator {
-    /// Creates a stopped oscillator after validating the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RingOscillatorError`] found by
-    /// [`RingOscillatorConfig::validate`].
-    pub fn new(config: RingOscillatorConfig) -> Result<RingOscillator, RingOscillatorError> {
-        config.validate()?;
-        Ok(RingOscillator {
-            config,
-            state: OscState::Sleeping,
-            running_time: SimDuration::ZERO,
-            wake_count: 0,
-            last_transition: SimTime::ZERO,
-        })
-    }
-
-    /// The static configuration.
-    pub fn config(&self) -> &RingOscillatorConfig {
-        &self.config
-    }
-
-    /// `true` while the loop oscillates.
-    pub fn is_running(&self) -> bool {
-        matches!(self.state, OscState::Running { .. })
-    }
-
-    /// Starts (or restarts) the oscillator at `now`; returns the time
-    /// of the first usable output edge (`now + wake_latency`). Starting
-    /// a running oscillator is a no-op that returns the next edge
-    /// boundary.
-    pub fn start(&mut self, now: SimTime) -> SimTime {
-        match self.state {
-            OscState::Running { since } => {
-                // Already running: next edge on the period grid.
-                let period = self.config.period();
-                let elapsed = now.saturating_duration_since(since);
-                let k = elapsed / period + 1;
-                since + period * k
-            }
-            OscState::Sleeping => {
-                let first = now + self.config.wake_latency;
-                self.state = OscState::Running { since: first };
-                self.wake_count += 1;
-                self.last_transition = now;
-                first
-            }
-        }
-    }
-
-    /// Stops the oscillator at `now` (sleep-pulse assertion). Stopping
-    /// a stopped oscillator is a no-op.
-    pub fn stop(&mut self, now: SimTime) {
-        if let OscState::Running { .. } = self.state {
-            self.running_time += now.saturating_duration_since(self.last_transition);
-            self.state = OscState::Sleeping;
-            self.last_transition = now;
-        }
-    }
-
-    /// Total time spent running up to the last transition (add the
-    /// current run manually if still running).
-    pub fn running_time(&self) -> SimDuration {
-        self.running_time
-    }
-
-    /// Number of sleep→run transitions so far.
-    pub fn wake_count(&self) -> u64 {
-        self.wake_count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,36 +180,6 @@ mod tests {
             ..RingOscillatorConfig::igloo_nano()
         };
         assert_eq!(cfg.validate(), Err(RingOscillatorError::ZeroStageDelay));
-    }
-
-    #[test]
-    fn start_applies_wake_latency() {
-        let mut ro = RingOscillator::new(RingOscillatorConfig::igloo_nano()).unwrap();
-        assert!(!ro.is_running());
-        let first = ro.start(SimTime::from_us(1));
-        assert_eq!(first, SimTime::from_us(1) + SimDuration::from_ns(100));
-        assert!(ro.is_running());
-        assert_eq!(ro.wake_count(), 1);
-    }
-
-    #[test]
-    fn start_when_running_returns_grid_edge() {
-        let mut ro = RingOscillator::new(RingOscillatorConfig::igloo_nano()).unwrap();
-        let first = ro.start(SimTime::ZERO);
-        let next = ro.start(first + SimDuration::from_ps(100));
-        assert_eq!(next, first + ro.config().period());
-        assert_eq!(ro.wake_count(), 1, "no spurious wake counted");
-    }
-
-    #[test]
-    fn stop_accumulates_running_time() {
-        let mut ro = RingOscillator::new(RingOscillatorConfig::igloo_nano()).unwrap();
-        ro.start(SimTime::ZERO);
-        ro.stop(SimTime::from_us(10));
-        ro.start(SimTime::from_us(20));
-        ro.stop(SimTime::from_us(25));
-        assert_eq!(ro.running_time(), SimDuration::from_us(15));
-        assert_eq!(ro.wake_count(), 2);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! after every event, it can be precomputed once as a table and every
 //! inter-event interval quantized in O(segments) instead of O(ticks) —
 //! this is what makes second-long sweeps at hundreds of kevt/s cheap.
+//! The [sampling engine](crate::engine::SamplingEngine) narrates the
+//! same [`segments`](SegmentTable::segments) and [`tail`](SegmentTable::tail)
+//! to a power meter as the clock's activity between events.
 //!
 //! The same table is the post-capture quiet walk the discrete-event
 //! interface replays in O(1)
@@ -295,63 +298,6 @@ impl SegmentTable {
         let j = div_ceil_duration(rel, step).max(1);
         seg.start + step.saturating_mul(j)
     }
-
-    /// Splits the busy interval `[0, until]` after a reset into
-    /// per-multiplier active time plus off time — the input to the
-    /// power model.
-    pub fn usage_until(&self, until: SimDuration) -> IntervalUsage {
-        let mut usage = IntervalUsage::default();
-        for seg in &self.segments {
-            if until <= seg.start {
-                return usage;
-            }
-            let span = until.min(seg.end) - seg.start;
-            usage.add_active(seg.multiplier, span);
-        }
-        let tail_start = self.segments.last().map_or(SimDuration::ZERO, |s| s.end);
-        if until > tail_start {
-            match self.tail {
-                Tail::Shutdown => usage.off += until - tail_start,
-                Tail::Infinite { multiplier } => usage.add_active(multiplier, until - tail_start),
-            }
-        }
-        usage
-    }
-}
-
-/// Per-interval clock activity breakdown.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IntervalUsage {
-    /// `(period multiplier, time spent)` pairs, ascending multiplier.
-    pub active: Vec<(u64, SimDuration)>,
-    /// Time with the clock switched off.
-    pub off: SimDuration,
-}
-
-impl IntervalUsage {
-    /// Adds active time at a multiplier, merging with an existing entry.
-    pub fn add_active(&mut self, multiplier: u64, span: SimDuration) {
-        if span.is_zero() {
-            return;
-        }
-        match self.active.binary_search_by_key(&multiplier, |&(m, _)| m) {
-            Ok(i) => self.active[i].1 += span,
-            Err(i) => self.active.insert(i, (multiplier, span)),
-        }
-    }
-
-    /// Merges another usage record into this one.
-    pub fn merge(&mut self, other: &IntervalUsage) {
-        for &(m, d) in &other.active {
-            self.add_active(m, d);
-        }
-        self.off += other.off;
-    }
-
-    /// Total accounted time (active + off).
-    pub fn total(&self) -> SimDuration {
-        self.active.iter().map(|&(_, d)| d).sum::<SimDuration>() + self.off
-    }
 }
 
 /// `ceil(a / b)` for durations.
@@ -367,6 +313,7 @@ fn div_ceil_duration(a: SimDuration, b: SimDuration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SamplingEngine;
 
     fn proto() -> ClockGenConfig {
         ClockGenConfig::prototype()
@@ -505,15 +452,17 @@ mod tests {
         }
     }
 
+    // The engine narrates the table's walk to its power meter; a quiet
+    // stretch from a reset is that walk alone.
+
     #[test]
     fn usage_splits_across_segments_and_off() {
         let t = SegmentTable::new(&proto());
-        let shutdown = t.shutdown_offset().unwrap();
-        let until = shutdown + SimDuration::from_ms(1);
-        let usage = t.usage_until(until);
+        let until = t.shutdown_offset().unwrap() + SimDuration::from_ms(1);
+        let usage = SamplingEngine::new(&proto()).finish(SimTime::ZERO + until);
         assert_eq!(usage.off, SimDuration::from_ms(1));
         assert_eq!(usage.active.len(), 4);
-        assert_eq!(usage.total(), until);
+        assert_eq!(usage.span(), until);
         // Active spans are theta·m·base each.
         for (i, &(m, d)) in usage.active.iter().enumerate() {
             assert_eq!(m, 1 << i);
@@ -525,22 +474,8 @@ mod tests {
     fn usage_partial_first_segment() {
         let t = SegmentTable::new(&proto());
         let until = t.base_period() * 10;
-        let usage = t.usage_until(until);
+        let usage = SamplingEngine::new(&proto()).finish(SimTime::ZERO + until);
         assert_eq!(usage.active, vec![(1, until)]);
         assert_eq!(usage.off, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn interval_usage_merge() {
-        let mut a = IntervalUsage::default();
-        a.add_active(1, SimDuration::from_us(5));
-        let mut b = IntervalUsage::default();
-        b.add_active(1, SimDuration::from_us(3));
-        b.add_active(4, SimDuration::from_us(2));
-        b.off = SimDuration::from_us(7);
-        a.merge(&b);
-        assert_eq!(a.active, vec![(1, SimDuration::from_us(8)), (4, SimDuration::from_us(2))]);
-        assert_eq!(a.off, SimDuration::from_us(7));
-        assert_eq!(a.total(), SimDuration::from_us(17));
     }
 }

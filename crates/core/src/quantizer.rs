@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use aetr_aer::spike::{Spike, SpikeTrain};
 use aetr_clockgen::config::ClockGenConfig;
-use aetr_clockgen::engine::{ActivityReport, SamplingEngine};
+use aetr_clockgen::engine::SamplingEngine;
 use aetr_power::model::ActivityInput;
 use aetr_sim::time::{SimDuration, SimTime};
 
@@ -34,7 +34,8 @@ pub struct QuantizedSpike {
 pub struct QuantizerOutput {
     /// Per-spike records, in input order.
     pub records: Vec<QuantizedSpike>,
-    /// Clock-activity record over `[0, horizon]` for the power model.
+    /// Clock-activity record over `[0, horizon]` for the power model,
+    /// extended to the last detection if that lands past `horizon`.
     pub activity: ActivityInput,
     /// `T_min`, the unit of the timestamps.
     pub base_period: SimDuration,
@@ -91,8 +92,9 @@ impl IsiErrorSample {
 
 /// Quantizes a spike train with the given clock configuration.
 ///
-/// The activity record covers `[0, horizon]`; pass the workload's end
-/// time so trailing idle power is accounted.
+/// The activity record covers `[0, horizon]`, or up to the last
+/// detection if that is later; pass the workload's end time so
+/// trailing idle power is accounted.
 ///
 /// # Panics
 ///
@@ -129,19 +131,7 @@ pub fn quantize_train(
             }
         })
         .collect();
-    engine.finish(horizon);
-    QuantizerOutput { records, activity: to_power_activity(engine.report()), base_period }
-}
-
-/// Converts the clock generator's activity report into the power
-/// model's input type.
-pub fn to_power_activity(report: &ActivityReport) -> ActivityInput {
-    ActivityInput {
-        active: report.usage.active.clone(),
-        off: report.usage.off,
-        wake_count: report.wake_count,
-        event_count: report.event_count,
-    }
+    QuantizerOutput { records, activity: engine.finish(horizon), base_period }
 }
 
 /// Pairs each measured timestamp with the true inter-spike interval it

@@ -1,11 +1,12 @@
 //! An integrating power meter for discrete-event simulation.
 //!
-//! The behavioral engine accounts activity analytically; the full DES
-//! interface instead *narrates* its activity to a [`PowerMeter`] as it
-//! happens — "clock now at multiplier 4", "event processed", "clock
-//! off" — and the meter integrates an [`ActivityInput`] that the
-//! [`PowerModel`](crate::model::PowerModel) can evaluate. This keeps
-//! the two power paths comparable by construction.
+//! Both power paths *narrate* their clock activity to a [`PowerMeter`]
+//! — "clock now at multiplier 4", "event processed", "clock off" — and
+//! the meter integrates an [`ActivityInput`] that the
+//! [`PowerModel`](crate::model::PowerModel) can evaluate: the full DES
+//! interface as its FSM steps, the behavioural sampling engine by
+//! walking the division schedule between events. One accumulator and
+//! one record keep the two paths comparable by construction.
 
 use std::borrow::Borrow;
 

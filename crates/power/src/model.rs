@@ -71,9 +71,11 @@ pub struct BlockParams {
     pub event_energy: Energy,
 }
 
-/// Clock activity summary consumed by the power model — produced by
-/// the sampling engine (behavioral) or the DES power meter, kept as a
-/// plain data type here so this crate stays independent of both.
+/// Clock activity summary consumed by the power model: the one record
+/// of clock activity, produced by a [`PowerMeter`](crate::meter::PowerMeter)
+/// on both power paths (the DES interface and the behavioural sampling
+/// engine each narrate to one). A plain data type, so this crate stays
+/// independent of both.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ActivityInput {
     /// `(period multiplier, time spent)` at each clock division level.

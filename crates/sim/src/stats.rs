@@ -81,15 +81,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance with Bessel's correction (0 for < 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -202,10 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn sample_variance_uses_bessel() {
+    fn population_variance_divides_by_count() {
         let s: OnlineStats = [1.0, 3.0].into_iter().collect();
         assert!((s.population_variance() - 1.0).abs() < 1e-12);
-        assert!((s.sample_variance() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The paper's headline claims, asserted as tests against the
 //! simulated system. Each test cites the claim it checks.
 
-use aetr::quantizer::{isi_error_samples, quantize_train, to_power_activity};
+use aetr::quantizer::{isi_error_samples, quantize_train};
 use aetr_aer::generator::{LfsrGenerator, PoissonGenerator, SpikeSource};
 use aetr_aer::handshake::CAVIAR_EVENT_BUDGET;
 use aetr_aer::spike::SpikeTrain;
@@ -159,6 +159,6 @@ fn claim_knobs_set_max_measurable_interval() {
     // Activity accounting confirms the quantizer respects them.
     let mut engine = SamplingEngine::new(&ClockGenConfig::prototype());
     let _ = engine.process(SimTime::from_ms(5));
-    let activity = to_power_activity(engine.report());
+    let activity = engine.finish(SimTime::from_ms(5));
     assert_eq!(activity.wake_count, 1, "a 5 ms gap must wake the clock (range is ~64 us)");
 }

@@ -9,7 +9,8 @@
 //! the wall-clock profile, excluded from snapshot equality, may
 //! differ).
 //!
-//! The post-capture chain template (`IdleChain`) is pinned here too:
+//! The post-capture chain template (the configuration's
+//! `SegmentTable`, from `SamplerFsm::idle_chain`) is pinned here too:
 //! its O(1) replay against `advance_idle_into` at the FSM level (state,
 //! segments, power-meter activity, resume time), and whole runs in
 //! which an SPI write and the degraded-mode fallback replace the
