@@ -52,21 +52,6 @@ impl ErrorSummary {
     }
 }
 
-impl fmt::Display for ErrorSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={}, mean {:.4}, median {:.4}, p95 {:.4}, max {:.4}, sat {:.1}%",
-            self.count,
-            self.mean,
-            self.median,
-            self.p95,
-            self.max,
-            self.saturation_ratio * 100.0
-        )
-    }
-}
-
 /// The three operating regions the paper identifies on the Fig. 6
 /// error-vs-rate curve (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -148,14 +133,6 @@ mod tests {
     #[test]
     fn empty_summary_is_none() {
         assert_eq!(ErrorSummary::of(&[]), None);
-    }
-
-    #[test]
-    fn display_contains_the_numbers() {
-        let s = ErrorSummary::of(&[(0.5, true)]).unwrap();
-        let text = s.to_string();
-        assert!(text.contains("n=1"), "{text}");
-        assert!(text.contains("sat 100.0%"), "{text}");
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl LinearFit {
         let r_squared = if ss_tot == 0.0 { 1.0 } else { (1.0 - ss_res / ss_tot).max(0.0) };
         Some(LinearFit { slope, intercept, r_squared, n })
     }
-
-    /// Predicted y at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +71,6 @@ mod tests {
         assert!((fit.slope + 2.0).abs() < 1e-12);
         assert!((fit.intercept - 7.0).abs() < 1e-10);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(100.0) + 193.0).abs() < 1e-9);
     }
 
     #[test]

@@ -172,15 +172,6 @@ impl Histogram {
             }
         }
     }
-
-    /// Geometric/arithmetic centre of a bin (matching the binning).
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let (a, b) = self.bin_edges(i);
-        match self.binning {
-            Binning::Linear { .. } => (a + b) / 2.0,
-            Binning::Logarithmic { .. } => (a * b).sqrt(),
-        }
-    }
 }
 
 enum BinIndex {
@@ -255,14 +246,6 @@ mod tests {
         h.extend([0.1, 0.2, 0.3, 5.0]);
         let sum: f64 = h.probabilities().iter().sum();
         assert!((sum - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bin_centers_match_scheme() {
-        let lin = Histogram::new(Binning::Linear { lo: 0.0, hi: 10.0, bins: 10 }).unwrap();
-        assert!((lin.bin_center(0) - 0.5).abs() < 1e-12);
-        let log = Histogram::new(Binning::Logarithmic { lo: 1.0, hi: 100.0, bins: 2 }).unwrap();
-        assert!((log.bin_center(0) - 10f64.sqrt()).abs() < 1e-9);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Support code for regenerating the paper's evaluation:
 //! [histograms](histogram) (Fig. 7b), [error summaries and region
-//! classification](error_stats) (Fig. 6), [sweep grids](sweep)
-//! (Figs. 6 & 8), and [table]/[plot] emitters used
+//! classification](error_stats) (Fig. 6), [sweep grids and
+//! workloads](sweep) (Figs. 6 & 8), and [table]/[plot] emitters used
 //! by every figure harness.
 //!
 //! # Examples
@@ -32,7 +32,7 @@ pub mod table;
 pub use error_stats::{ErrorSummary, Region};
 pub use fit::LinearFit;
 pub use histogram::{Binning, Histogram};
-pub use sweep::{log_space, run_sweep, SweepPoint};
+pub use sweep::log_space;
 pub use table::Table;
 
 #[cfg(test)]

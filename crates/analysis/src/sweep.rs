@@ -1,12 +1,15 @@
-//! Parameter-sweep scaffolding.
+//! Sweep grids and the rate-swept workloads.
 //!
 //! Both evaluation figures sweep the event rate on a log axis (100
 //! evt/s – 2 Mevt/s for Fig. 6, 10 evt/s – 800 kevt/s for Fig. 8),
 //! with one curve per `θ_div`. This module generates the sweep grids
-//! and runs a measurement closure over the cross product, collecting
-//! tidy rows.
+//! and the seeded stimulus for one point of such a sweep: a Poisson
+//! train like Fig. 6's or an LFSR train like Fig. 8's, long enough to
+//! hold a requested number of events.
 
-use serde::{Deserialize, Serialize};
+use aetr_aer::generator::{LfsrGenerator, PoissonGenerator, SpikeSource};
+use aetr_aer::spike::SpikeTrain;
+use aetr_sim::time::{SimDuration, SimTime};
 
 /// `n` log-spaced points over `[lo, hi]`, inclusive of both ends.
 ///
@@ -37,83 +40,27 @@ pub fn log_space(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// `n` linearly spaced points over `[lo, hi]`, inclusive.
-///
-/// # Panics
-///
-/// Panics unless `lo < hi` and `n >= 2`.
-pub fn lin_space(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(lo < hi, "lin_space needs lo < hi");
-    assert!(n >= 2, "lin_space needs at least 2 points");
-    (0..n).map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64).collect()
+/// The workload duration that yields at least `min_events` at
+/// `rate_hz`, with a floor so even fast workloads exercise several
+/// division/shutdown cycles.
+pub fn duration_for_rate(rate_hz: f64, min_events: u64) -> SimTime {
+    let secs = (min_events as f64 / rate_hz).max(0.1);
+    SimTime::ZERO + SimDuration::from_secs_f64(secs)
 }
 
-/// One measured point of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepPoint<T> {
-    /// The configuration label (e.g. `θ_div` value or policy name).
-    pub config: String,
-    /// The swept x value (e.g. event rate in Hz).
-    pub x: f64,
-    /// The measurement.
-    pub value: T,
+/// A Poisson workload like the paper's Fig. 6 stimulus, seeded per
+/// rate so sweeps are reproducible point by point.
+pub fn poisson_workload(rate_hz: f64, seed: u64, min_events: u64) -> (SpikeTrain, SimTime) {
+    let horizon = duration_for_rate(rate_hz, min_events);
+    let train = PoissonGenerator::new(rate_hz, 64, seed).generate(horizon);
+    (train, horizon)
 }
 
-/// Runs `measure(config, x)` over the cross product of configurations
-/// and x values, in deterministic order.
-pub fn run_sweep<C, T>(
-    configs: &[(String, C)],
-    xs: &[f64],
-    mut measure: impl FnMut(&C, f64) -> T,
-) -> Vec<SweepPoint<T>> {
-    let mut points = Vec::with_capacity(configs.len() * xs.len());
-    for (label, cfg) in configs {
-        for &x in xs {
-            points.push(SweepPoint { config: label.clone(), x, value: measure(cfg, x) });
-        }
-    }
-    points
-}
-
-/// Parallel [`run_sweep`]: shards the cross product over `jobs` worker
-/// threads and returns the points in the exact order `run_sweep` would,
-/// so the output is bit-identical to the sequential sweep for any job
-/// count (see [`aetr_sim::parallel::par_map`] for the determinism
-/// argument).
-///
-/// Unlike `run_sweep`, the measurement closure must be `Fn` (shared
-/// across workers) — sweep measurements are pure functions of
-/// `(config, x)`, so this is no loss in practice. `jobs <= 1` degrades
-/// to a plain sequential loop with no thread overhead.
-pub fn run_sweep_parallel<C, T>(
-    configs: &[(String, C)],
-    xs: &[f64],
-    jobs: usize,
-    measure: impl Fn(&C, f64) -> T + Sync,
-) -> Vec<SweepPoint<T>>
-where
-    C: Sync,
-    T: Send,
-{
-    let grid: Vec<(usize, f64)> =
-        (0..configs.len()).flat_map(|ci| xs.iter().map(move |&x| (ci, x))).collect();
-    aetr_sim::parallel::par_map(jobs, &grid, |_, &(ci, x)| {
-        let (label, cfg) = &configs[ci];
-        SweepPoint { config: label.clone(), x, value: measure(cfg, x) }
-    })
-}
-
-/// Groups sweep points back into per-configuration series (insertion
-/// order preserved).
-pub fn series_of<T: Clone>(points: &[SweepPoint<T>]) -> Vec<(String, Vec<(f64, T)>)> {
-    let mut out: Vec<(String, Vec<(f64, T)>)> = Vec::new();
-    for p in points {
-        match out.iter_mut().find(|(label, _)| *label == p.config) {
-            Some((_, series)) => series.push((p.x, p.value.clone())),
-            None => out.push((p.config.clone(), vec![(p.x, p.value.clone())])),
-        }
-    }
-    out
+/// An LFSR fixed-rate workload like the paper's Fig. 8 power stimulus.
+pub fn lfsr_workload(rate_hz: f64, seed: u32, min_events: u64) -> (SpikeTrain, SimTime) {
+    let horizon = duration_for_rate(rate_hz, min_events);
+    let train = LfsrGenerator::new(rate_hz, seed).generate(horizon);
+    (train, horizon)
 }
 
 #[cfg(test)]
@@ -128,49 +75,25 @@ mod tests {
     }
 
     #[test]
-    fn lin_space_endpoints() {
-        let xs = lin_space(0.0, 12.0, 13);
-        assert_eq!(xs[0], 0.0);
-        assert_eq!(xs[12], 12.0);
-        assert!((xs[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sweep_runs_full_cross_product_in_order() {
-        let configs = vec![("a".to_owned(), 1u32), ("b".to_owned(), 2)];
-        let xs = [10.0, 20.0];
-        let points = run_sweep(&configs, &xs, |c, x| *c as f64 * x);
-        assert_eq!(points.len(), 4);
-        assert_eq!(points[0].config, "a");
-        assert_eq!(points[0].value, 10.0);
-        assert_eq!(points[3].config, "b");
-        assert_eq!(points[3].value, 40.0);
-    }
-
-    #[test]
-    fn series_regroups_by_config() {
-        let configs = vec![("a".to_owned(), ()), ("b".to_owned(), ())];
-        let points = run_sweep(&configs, &[1.0, 2.0], |_, x| x * 2.0);
-        let series = series_of(&points);
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].0, "a");
-        assert_eq!(series[0].1, vec![(1.0, 2.0), (2.0, 4.0)]);
-    }
-
-    #[test]
     #[should_panic(expected = "0 < lo < hi")]
     fn log_space_rejects_zero_lo() {
         let _ = log_space(0.0, 1.0, 3);
     }
 
     #[test]
-    fn parallel_sweep_matches_sequential_exactly() {
-        let configs = vec![("a".to_owned(), 3u32), ("b".to_owned(), 5), ("c".to_owned(), 7)];
-        let xs = log_space(1.0, 100.0, 7);
-        let sequential = run_sweep(&configs, &xs, |c, x| (*c as f64).powf(x.ln()));
-        for jobs in [0, 1, 2, 3, 8] {
-            let parallel = run_sweep_parallel(&configs, &xs, jobs, |c, x| (*c as f64).powf(x.ln()));
-            assert_eq!(parallel, sequential, "jobs = {jobs}");
-        }
+    fn duration_scales_inversely_with_rate() {
+        let slow = duration_for_rate(10.0, 500);
+        let fast = duration_for_rate(1e6, 500);
+        assert!(slow > fast);
+        assert_eq!(slow, SimTime::from_secs(50));
+        assert_eq!(fast, SimTime::from_ms(100), "floor applies");
+    }
+
+    #[test]
+    fn workloads_hit_requested_event_counts() {
+        let (train, _) = poisson_workload(10_000.0, 1, 500);
+        assert!(train.len() >= 350, "poisson events {}", train.len());
+        let (train, _) = lfsr_workload(10_000.0, 1, 500);
+        assert!(train.len() >= 450, "lfsr events {}", train.len());
     }
 }

@@ -1,67 +1,6 @@
 //! Ablation: timestamp counter width vs inactive-region error.
-//!
-//! The AETR word reserves 22 bits for the timestamp. A narrower
-//! counter clamps earlier (on top of the clock-shutdown saturation),
-//! trading wire/RAM bits against the largest interval the stream can
-//! still represent. This sweep shows where each width starts to hurt
-//! with the never-stopping policy (the width is the *only* saturation
-//! source there).
-
-use aetr::quantizer::{isi_error_samples, quantize_train};
-use aetr_analysis::sweep::log_space;
-use aetr_analysis::table::{fmt_sig, Table};
-use aetr_bench::{banner, poisson_workload, write_result};
-use aetr_clockgen::config::{ClockGenConfig, DivisionPolicy};
-use aetr_sim::time::SimDuration;
-
-const SEED: u64 = 0xAB2;
+//! Runs [`aetr_bench::ablations::ablation_counter_width`]; the artifact goes under `results/`.
 
 fn main() {
-    banner("Ablation", "timestamp counter width vs saturation error", SEED);
-
-    let widths = [10u32, 14, 18, 22];
-    println!("largest representable interval per width (T_min units × T_min):");
-    for &bits in &widths {
-        let cfg = ClockGenConfig {
-            counter_bits: bits,
-            ..ClockGenConfig::prototype().with_policy(DivisionPolicy::Never)
-        };
-        let max = SimDuration::from_ps(cfg.base_sampling_period().as_ps() * cfg.counter_max());
-        println!("  {bits:>2} bits: {max}");
-    }
-    println!();
-
-    let mut table = Table::new(vec!["counter bits", "rate (evt/s)", "mean err", "clamped %"]);
-    for &bits in &widths {
-        let config = ClockGenConfig {
-            counter_bits: bits,
-            ..ClockGenConfig::prototype().with_policy(DivisionPolicy::Never)
-        };
-        for (i, &rate) in log_space(10.0, 100_000.0, 7).iter().enumerate() {
-            let (train, horizon) = poisson_workload(rate, SEED + i as u64, 1_000);
-            let out = quantize_train(&config, &train, horizon);
-            let samples = isi_error_samples(&out);
-            if samples.is_empty() {
-                continue;
-            }
-            let mean_err: f64 =
-                samples.iter().map(|s| s.relative_error()).sum::<f64>() / samples.len() as f64;
-            let clamped =
-                samples.iter().filter(|s| s.saturated).count() as f64 / samples.len() as f64;
-            table.row(vec![
-                bits.to_string(),
-                fmt_sig(rate),
-                format!("{mean_err:.4}"),
-                format!("{:.1}", clamped * 100.0),
-            ]);
-        }
-    }
-    println!("{}", table.to_ascii());
-    println!(
-        "reading: each halving of the width moves the error knee up by ~2^4 in rate;\n\
-         22 bits keeps the knee far below any practical sensor rate (paper's choice)."
-    );
-
-    let path = write_result("ablation_counter_width.csv", &table.to_csv()).expect("write results");
-    println!("\nCSV written to {}", path.display());
+    aetr_bench::run(aetr_bench::ablations::ablation_counter_width);
 }

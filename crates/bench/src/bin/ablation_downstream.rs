@@ -1,70 +1,6 @@
-//! Ablation: what the AETR batch interface saves the *downstream* MCU.
-//!
-//! §3 of the paper argues that making time explicit lets the MCU sleep
-//! and process events in batches instead of staying always-on. This
-//! harness runs the full interface at several FIFO watermarks and
-//! feeds the resulting batch structure into an STM32-L476-class MCU
-//! energy model.
-
-use aetr::fifo::FifoConfig;
-use aetr::interface::{AerToI2sInterface, InterfaceConfig};
-use aetr_aer::generator::{BurstGenerator, SpikeSource};
-use aetr_analysis::table::Table;
-use aetr_bench::{banner, write_result};
-use aetr_power::downstream::{compare, McuPowerModel};
-use aetr_sim::time::{SimDuration, SimTime};
-
-const SEED: u64 = 0xAB5;
+//! Ablation: what AETR batching saves the downstream MCU.
+//! Runs [`aetr_bench::ablations::ablation_downstream`]; the artifact goes under `results/`.
 
 fn main() {
-    banner("Ablation", "downstream MCU energy: always-on vs AETR batching", SEED);
-
-    // A sparse acoustic-monitoring workload over 2 s (~4% duty).
-    let horizon = SimTime::from_secs(2);
-    let train = BurstGenerator::new(
-        100_000.0,
-        10.0,
-        SimDuration::from_ms(20),
-        SimDuration::from_ms(480),
-        64,
-        SEED,
-    )
-    .generate(horizon);
-    println!(
-        "workload: {} events over 2 s (bursty, ~{:.0} evt/s average)\n",
-        train.len(),
-        train.mean_rate()
-    );
-
-    let mcu = McuPowerModel::stm32l476();
-    let span = horizon.saturating_duration_since(SimTime::ZERO);
-    let mut table =
-        Table::new(vec!["watermark", "batches", "MCU always-on", "MCU batched", "saving"]);
-    for watermark in [16usize, 64, 256, 1_024] {
-        let config = InterfaceConfig {
-            fifo: FifoConfig { watermark, ..FifoConfig::prototype() },
-            ..InterfaceConfig::prototype()
-        };
-        let interface = AerToI2sInterface::new(config).expect("valid config");
-        let report = interface.run(&train, horizon);
-        // One MCU wake per drain burst (plus one for any trailing flush).
-        let batches = report.fifo_stats.watermark_crossings.max(1) + 1;
-        let cmp = compare(&mcu, span, report.events.len() as u64, batches);
-        table.row(vec![
-            watermark.to_string(),
-            batches.to_string(),
-            format!("{}", cmp.always_on),
-            format!("{}", cmp.batched),
-            format!("{:.0}x", cmp.saving_factor()),
-        ]);
-    }
-    println!("{}", table.to_ascii());
-    println!(
-        "reading: explicit AETR timestamps let the MCU sleep between batches —\n\
-         one to two orders of magnitude of downstream energy on sparse streams,\n\
-         with deeper watermarks amortising the wake cost further."
-    );
-
-    let path = write_result("ablation_downstream.csv", &table.to_csv()).expect("write results");
-    println!("\nCSV written to {}", path.display());
+    aetr_bench::run(aetr_bench::ablations::ablation_downstream);
 }

@@ -1,70 +1,6 @@
 //! Ablation: the `θ_div` / `N_div` design-space matrix.
-//!
-//! The paper closes §5.2 with: "These two parameters can be used as
-//! two different knobs to match both the desired accuracy and the
-//! desired maximum time interval that the interface is able to cover."
-//! This harness charts the whole knob space: for each (θ, N) pair, the
-//! measurable range, the active-region accuracy, and the power at a
-//! fixed 10 kevt/s workload.
-
-use aetr::quantizer::{isi_error_samples, quantize_train};
-use aetr_analysis::table::Table;
-use aetr_bench::{banner, poisson_workload, write_result};
-use aetr_clockgen::config::ClockGenConfig;
-use aetr_clockgen::segments::SegmentTable;
-use aetr_power::model::PowerModel;
-
-const SEED: u64 = 0xAB6;
+//! Runs [`aetr_bench::ablations::ablation_knobs`]; the artifact goes under `results/`.
 
 fn main() {
-    banner("Ablation", "the theta/N design space: range, accuracy, power", SEED);
-
-    let model = PowerModel::igloo_nano();
-    let mut table = Table::new(vec![
-        "theta",
-        "n_div",
-        "max interval",
-        "err @ mid-range",
-        "power @ 10 kevt/s (uW)",
-    ]);
-
-    for &theta in &[16u32, 32, 64, 128] {
-        for &n_div in &[1u32, 3, 5, 7] {
-            let config = ClockGenConfig::prototype().with_theta_div(theta).with_n_div(n_div);
-            let seg = SegmentTable::new(&config);
-            let max = seg.max_measurable().expect("recursive policy saturates");
-
-            // Accuracy probe: Poisson at a rate whose mean ISI sits in
-            // the middle of this configuration's measurable range.
-            let probe_rate = 2.0 / max.as_secs_f64();
-            let (train, horizon) = poisson_workload(probe_rate, SEED + theta as u64, 1_500);
-            let out = quantize_train(&config, &train, horizon);
-            let s = isi_error_samples(&out);
-            let mean_err =
-                s.iter().map(|e| e.relative_error()).sum::<f64>() / s.len().max(1) as f64;
-
-            // Power probe at a common rate.
-            let (ptrain, phorizon) = poisson_workload(10_000.0, SEED + n_div as u64, 1_500);
-            let pout = quantize_train(&config, &ptrain, phorizon);
-            let power = model.evaluate(&pout.activity).total;
-
-            table.row(vec![
-                theta.to_string(),
-                n_div.to_string(),
-                max.to_string(),
-                format!("{:.4}", mean_err),
-                format!("{:.1}", power.as_microwatts()),
-            ]);
-        }
-    }
-    println!("{}", table.to_ascii());
-    println!(
-        "reading: θ_div sets the accuracy floor (~1/θ on the median) and scales the\n\
-         range linearly; N_div scales the range geometrically (2^(N+1)-1) at ~zero\n\
-         accuracy cost in-range but delays the shutdown power saving — exactly the\n\
-         paper's 'two knobs'."
-    );
-
-    let path = write_result("ablation_knobs.csv", &table.to_csv()).expect("write results");
-    println!("\nCSV written to {}", path.display());
+    aetr_bench::run(aetr_bench::ablations::ablation_knobs);
 }

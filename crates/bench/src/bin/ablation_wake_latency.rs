@@ -1,65 +1,6 @@
 //! Ablation: ring-oscillator wake latency sensitivity.
-//!
-//! The paper argues the ~100 ns restart cost is negligible because it
-//! is "comparable with a single clock period at the max freq". This
-//! sweep makes that claim quantitative: acquisition delay and power of
-//! a sparse (wake-heavy) workload as the wake latency grows from 0 to
-//! 10 µs — the design stays insensitive until the latency rivals the
-//! inter-burst spacing.
-
-use aetr::interface::{AerToI2sInterface, InterfaceConfig};
-use aetr_aer::generator::{BurstGenerator, SpikeSource};
-use aetr_analysis::table::Table;
-use aetr_bench::{banner, write_result};
-use aetr_clockgen::ring::RingOscillatorConfig;
-use aetr_sim::time::{SimDuration, SimTime};
-
-const SEED: u64 = 0xAB3;
+//! Runs [`aetr_bench::ablations::ablation_wake_latency`]; the artifact goes under `results/`.
 
 fn main() {
-    banner("Ablation", "ring-oscillator wake latency sensitivity", SEED);
-
-    // A sparse, bursty workload: every burst onset wakes the clock.
-    let train = BurstGenerator::new(
-        150_000.0,
-        0.0,
-        SimDuration::from_ms(2),
-        SimDuration::from_ms(8),
-        64,
-        SEED,
-    )
-    .generate(SimTime::from_ms(200));
-    println!("workload: {} spikes in bursts over 200 ms\n", train.len());
-
-    let mut table = Table::new(vec!["wake latency", "wakes", "mean acq delay (ns)", "power (uW)"]);
-    for wake_ns in [0u64, 50, 100, 500, 2_000, 10_000] {
-        let mut config = InterfaceConfig::prototype();
-        config.clock.ring = RingOscillatorConfig {
-            wake_latency: SimDuration::from_ns(wake_ns),
-            ..RingOscillatorConfig::igloo_nano()
-        };
-        let interface = AerToI2sInterface::new(config).expect("valid config");
-        let report = interface.run(&train, SimTime::from_ms(200));
-        let mean_delay_ns: f64 = report
-            .events
-            .iter()
-            .map(|e| (e.detection - e.request).as_ps() as f64 / 1e3)
-            .sum::<f64>()
-            / report.events.len() as f64;
-        table.row(vec![
-            format!("{}", SimDuration::from_ns(wake_ns)),
-            report.wake_count.to_string(),
-            format!("{mean_delay_ns:.0}"),
-            format!("{:.1}", report.power.total.as_microwatts()),
-        ]);
-    }
-    println!("{}", table.to_ascii());
-    println!(
-        "reading: at the prototype's 100 ns the acquisition delay is dominated by the\n\
-         sampling grid itself; only wake latencies of several microseconds (100x the\n\
-         paper's) become visible — the paper's negligibility claim holds."
-    );
-
-    let path = write_result("ablation_wake_latency.csv", &table.to_csv()).expect("write results");
-    println!("\nCSV written to {}", path.display());
+    aetr_bench::run(aetr_bench::ablations::ablation_wake_latency);
 }

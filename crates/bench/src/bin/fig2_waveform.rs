@@ -1,44 +1,6 @@
-//! Figure 2 — the recursively divided sampling clock waveform.
-//!
-//! Reproduces the illustrative waveform with `θ_div = 8`, `N_div = 3`:
-//! eight ticks at `T_min`, eight at `2·T_min`, eight at `4·T_min`,
-//! eight at `8·T_min`, then clock shutdown; a later AER request wakes
-//! the oscillator and resets the division. The full trace is written
-//! as a VCD file viewable in GTKWave.
-
-use aetr_bench::{banner, write_result};
-use aetr_clockgen::config::ClockGenConfig;
-use aetr_clockgen::schedule::record_waveform;
-use aetr_sim::time::SimTime;
+//! Figure 2: the recursively divided sampling clock waveform.
+//! Runs [`aetr_bench::figures::fig2_waveform`]; the artifact goes under `results/`.
 
 fn main() {
-    banner("Figure 2", "AER sampling clock with N_div = 3, theta_div = 8", 0);
-
-    let config = ClockGenConfig::prototype().with_theta_div(8).with_n_div(3);
-    let base = config.base_sampling_period();
-    println!("T_min = {base} (reference clock {})", config.reference_frequency());
-
-    // Idle run-down followed by a wake-up request at 50 µs.
-    let wave = record_waveform(&config, &[SimTime::from_us(50)], SimTime::from_us(80));
-
-    println!("\nrising edges and their spacing:");
-    let edges = wave.rising_edges();
-    for (i, pair) in edges.windows(2).enumerate() {
-        let gap = pair[1] - pair[0];
-        let mult = gap.as_ps() / base.as_ps();
-        println!("  tick {:>2} -> {:>2}: gap {gap} ({}x T_min)", i, i + 1, mult);
-    }
-
-    println!("\ndivisions:");
-    for &(t, m) in &wave.divisions {
-        println!("  {t}: period -> {m}x T_min");
-    }
-    println!("shutdowns: {:?}", wave.shutdowns.iter().map(ToString::to_string).collect::<Vec<_>>());
-    println!("samples:   {:?}", wave.samples.iter().map(ToString::to_string).collect::<Vec<_>>());
-
-    let mut vcd = Vec::new();
-    aetr_sim::vcd::write_vcd(&wave.tracer, &mut vcd).expect("in-memory write cannot fail");
-    let text = String::from_utf8(vcd).expect("VCD is ASCII");
-    let path = write_result("fig2_waveform.vcd", &text).expect("write results");
-    println!("\nVCD written to {} (open with GTKWave)", path.display());
+    aetr_bench::run(aetr_bench::figures::fig2_waveform);
 }

@@ -1,177 +1,6 @@
-//! Figure 8 — power consumption vs event rate.
-//!
-//! Reproduces: LFSR fixed-rate spike streams swept from 10 evt/s to
-//! 800 kevt/s; power of the interface for `θ_div ∈ {16, 32, 64}`
-//! against the no-division baseline and the ideal energy-proportional
-//! line `P(r) = E_spike·r + P_static` (Eq. 1).
-//!
-//! Paper expectations: the naïve baseline sits flat at ≈4.5 mW; the
-//! divided-clock curves fall with rate, reaching ≈50 µW at very low
-//! rates (a ~90× factor) and merging with the baseline in the
-//! high-activity region; savings ≈55 % in the active region.
-
-use aetr::quantizer::quantize_train;
-use aetr_analysis::fit::LinearFit;
-use aetr_analysis::plot::{AsciiPlot, Scale};
-use aetr_analysis::sweep::log_space;
-use aetr_analysis::table::{fmt_sig, Table};
-use aetr_bench::{banner, lfsr_workload, write_result};
-use aetr_clockgen::config::{ClockGenConfig, DivisionPolicy};
-use aetr_power::ideal::IdealModel;
-use aetr_power::model::PowerModel;
-use aetr_power::units::Power;
-
-const SEED: u32 = 0xF18;
-const THETAS: [u32; 3] = [16, 32, 64];
-const MIN_EVENTS: u64 = 2_000;
-
-fn measure(config: &ClockGenConfig, model: &PowerModel, rate: f64, seed: u32) -> Power {
-    let (train, horizon) = lfsr_workload(rate, seed, MIN_EVENTS);
-    let out = quantize_train(config, &train, horizon);
-    model.evaluate(&out.activity).total
-}
+//! Figure 8: power consumption vs event rate.
+//! Runs [`aetr_bench::figures::fig8_power`]; the artifact goes under `results/`.
 
 fn main() {
-    banner(
-        "Figure 8",
-        "power vs event rate (LFSR stimulus; θ ∈ {16,32,64}, no-division, ideal)",
-        SEED as u64,
-    );
-
-    let model = PowerModel::igloo_nano();
-    let rates = log_space(10.0, 800_000.0, 22);
-
-    // Fit the ideal line the way the paper does: all dynamic power in
-    // the high-activity region attributed to events.
-    let high_rate = 550_000.0;
-    let p_high = measure(&ClockGenConfig::prototype(), &model, high_rate, SEED);
-    let ideal = IdealModel::fit_from_high_activity(p_high, high_rate, model.static_power);
-    println!(
-        "E_spike fit: {} at {} (paper: ~8.1 nJ from 4.5 mW @ 550 kevt/s)\n",
-        ideal.e_spike, p_high
-    );
-
-    let mut table = Table::new(vec!["config", "rate (evt/s)", "power (mW)"]);
-    let mut plot = AsciiPlot::new(64, 20, Scale::Log, Scale::Log);
-
-    let mut configs: Vec<(String, ClockGenConfig)> = THETAS
-        .iter()
-        .map(|&t| (format!("theta={t}"), ClockGenConfig::prototype().with_theta_div(t)))
-        .collect();
-    configs.push((
-        "no-division".to_owned(),
-        ClockGenConfig::prototype().with_policy(DivisionPolicy::Never),
-    ));
-
-    let mut curves: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
-    for (label, config) in &configs {
-        let mut curve = Vec::new();
-        for (i, &rate) in rates.iter().enumerate() {
-            let p = measure(config, &model, rate, SEED + i as u32);
-            table.row(vec![label.clone(), fmt_sig(rate), format!("{:.4}", p.as_milliwatts())]);
-            curve.push((rate, p.as_milliwatts().max(1e-4)));
-        }
-        curves.push((label.clone(), curve));
-    }
-    // The ideal line.
-    let ideal_curve: Vec<(f64, f64)> = rates
-        .iter()
-        .map(|&r| {
-            let p = ideal.power_at(r);
-            table.row(vec!["ideal".into(), fmt_sig(r), format!("{:.4}", p.as_milliwatts())]);
-            (r, p.as_milliwatts().max(1e-4))
-        })
-        .collect();
-    curves.push(("ideal".to_owned(), ideal_curve));
-
-    for (label, curve) in &curves {
-        plot.series(label.clone(), curve.clone());
-    }
-    println!("{}", plot.render());
-    println!("{}", table.to_ascii());
-
-    // Headline checks mirrored from the paper's §5.2/§6 narrative.
-    let proto = ClockGenConfig::prototype();
-    let p_idle = {
-        let out = quantize_train(
-            &proto,
-            &aetr_aer::spike::SpikeTrain::new(),
-            aetr_sim::time::SimTime::from_secs(1),
-        );
-        model.evaluate(&out.activity).total
-    };
-    let p_noisy = measure(&proto, &model, 550_000.0, SEED);
-    let p_naive = measure(
-        &ClockGenConfig::prototype().with_policy(DivisionPolicy::Never),
-        &model,
-        1_000.0,
-        SEED,
-    );
-    let p_div_1k = measure(&proto, &model, 1_000.0, SEED);
-    // The paper's ~55% figure isolates the frequency-division effect
-    // (before shutdown dominates): compare divide-only vs no-division
-    // at a few tens of kevt/s.
-    let saving_division_only = 1.0
-        - measure(
-            &ClockGenConfig::prototype().with_policy(DivisionPolicy::DivideOnly),
-            &model,
-            30_000.0,
-            SEED,
-        )
-        .as_microwatts()
-            / measure(
-                &ClockGenConfig::prototype().with_policy(DivisionPolicy::Never),
-                &model,
-                30_000.0,
-                SEED,
-            )
-            .as_microwatts();
-    let saving_full = 1.0
-        - measure(&proto, &model, 5_000.0, SEED).as_microwatts()
-            / measure(
-                &ClockGenConfig::prototype().with_policy(DivisionPolicy::Never),
-                &model,
-                5_000.0,
-                SEED,
-            )
-            .as_microwatts();
-    let idle_factor = p_noisy.as_microwatts() / p_idle.as_microwatts();
-
-    println!("no input:            {p_idle}   (paper: ~50 uW)");
-    println!("550 kevt/s:          {p_noisy}   (paper: < 4.5 mW)");
-    println!("naive @ 1 kevt/s:    {p_naive}   (paper: stuck at ~4.5 mW)");
-    println!("divided @ 1 kevt/s:  {p_div_1k}");
-    println!(
-        "division-only saving @30 kevt/s: {:.0}%   (paper: up to 55% from division alone)",
-        saving_division_only * 100.0
-    );
-    println!("division+shutdown saving @5 kevt/s: {:.0}%", saving_full * 100.0);
-    println!("idle power factor:   {idle_factor:.0}x   (paper: ~90x)");
-
-    // Least-squares fit over the high-activity region, where the
-    // clock is pinned at full speed: the slope is the *marginal*
-    // energy per event (front-end + FIFO + I2S switching), while
-    // Eq. 1's E_spike is the *average* energy per event at 550 kevt/s
-    // and therefore also carries the always-on clock. The two differing
-    // by ~20x is the architectural point: almost all of the power is
-    // clocking, which is exactly what recursive division attacks.
-    let fit_points: Vec<(f64, f64)> = [450_000.0, 550_000.0, 650_000.0, 800_000.0]
-        .iter()
-        .map(|&r| (r, measure(&proto, &model, r, SEED).as_microwatts()))
-        .collect();
-    if let Some(fit) = LinearFit::of(&fit_points) {
-        // Slope is µW per (evt/s) = µJ per event.
-        println!(
-            "marginal energy/event (high-activity slope): {:.2} nJ (R^2 {:.3})",
-            fit.slope * 1e3,
-            fit.r_squared
-        );
-        println!(
-            "average energy/event at 550 kevt/s (Eq. 1):  {} — the gap is the always-on clock",
-            ideal.e_spike
-        );
-    }
-
-    let path = write_result("fig8_power.csv", &table.to_csv()).expect("write results");
-    println!("\nCSV written to {}", path.display());
+    aetr_bench::run(aetr_bench::figures::fig8_power);
 }

@@ -1,153 +1,30 @@
-//! Regenerates a compact version of every experiment and writes
-//! `results/REPORT.md` — the one-command reproduction check.
+//! Runs every experiment at full resolution, writes all of `results/`
+//! and builds `results/REPORT.md` from the experiments' paper-claim
+//! rows — the one-command reproduction check.
 //!
-//! The per-figure binaries (`fig2_waveform`, `fig6_error`, ...) remain
-//! the full-resolution harnesses; this runs reduced grids so the whole
-//! sweep finishes in seconds and the report is diff-able run to run
-//! (everything is seeded).
+//! Each artifact is byte-identical to the one the experiment's own
+//! binary writes (everything is seeded), so CI regenerates `results/`
+//! with this and fails on any difference from the committed files.
 //!
 //! ```sh
 //! cargo run --release -p aetr-bench --bin reproduce_all
 //! ```
 
-use std::fmt::Write as _;
-
-use aetr::quantizer::{isi_error_samples, quantize_train};
-use aetr::resources::UtilizationReport;
-use aetr_analysis::sweep::log_space;
-use aetr_analysis::table::{fmt_sig, Table};
-use aetr_bench::{banner, lfsr_workload, poisson_workload, write_result};
-use aetr_clockgen::config::{ClockGenConfig, DivisionPolicy};
-use aetr_clockgen::schedule::record_waveform;
-use aetr_power::ideal::IdealModel;
-use aetr_power::model::PowerModel;
-use aetr_sim::time::SimTime;
+use aetr_bench::{report, write_result, EXPERIMENTS};
 
 fn main() {
-    banner("reproduce_all", "compact regeneration of every figure/table -> results/REPORT.md", 7);
-    let mut md = String::new();
-    let _ = writeln!(md, "# AETR reproduction report\n");
-    let _ = writeln!(
-        md,
-        "Compact deterministic regeneration of the DAC'17 evaluation. Full-resolution\n\
-         harnesses: `fig2_waveform`, `fig6_error`, `fig7_cochlea`, `fig8_power`,\n\
-         `table_resources`, `headline_summary`, `ablation_*`.\n"
-    );
-
-    fig2(&mut md);
-    fig6(&mut md);
-    fig7(&mut md);
-    fig8(&mut md);
-    resources(&mut md);
-
-    let path = write_result("REPORT.md", &md).expect("write results");
+    let experiments: Vec<_> = EXPERIMENTS
+        .iter()
+        .map(|&(name, experiment)| {
+            let experiment = experiment();
+            let artifact = &experiment.artifact;
+            write_result(artifact.name, &artifact.contents).expect("write results");
+            println!("{name}: wrote {}", artifact.name);
+            (name, experiment)
+        })
+        .collect();
+    let report = report(&experiments);
+    let path = write_result("REPORT.md", &report).expect("write results");
+    println!("\n{report}");
     println!("report written to {}", path.display());
-}
-
-fn fig2(md: &mut String) {
-    println!("fig2: waveform...");
-    let config = ClockGenConfig::prototype().with_theta_div(8).with_n_div(3);
-    let wave = record_waveform(&config, &[], SimTime::from_us(20));
-    let mults: Vec<String> = wave.divisions.iter().map(|&(_, m)| m.to_string()).collect();
-    let _ = writeln!(md, "## Figure 2 — divided clock waveform (θ=8, N=3)\n");
-    let _ = writeln!(md, "* rising edges before shutdown: {}", wave.rising_edges().len());
-    let _ = writeln!(md, "* division sequence: {} (paper: 2, 4, 8)", mults.join(", "));
-    let _ = writeln!(md, "* shutdowns: {}\n", wave.shutdowns.len());
-}
-
-fn fig6(md: &mut String) {
-    println!("fig6: error sweep...");
-    let mut table = Table::new(vec!["theta", "rate (evt/s)", "mean err", "sat %"]);
-    for theta in [16u32, 64] {
-        let config = ClockGenConfig::prototype().with_theta_div(theta);
-        for (i, &rate) in log_space(100.0, 2e6, 7).iter().enumerate() {
-            let (train, horizon) = poisson_workload(rate, 100 + i as u64, 1_000);
-            let out = quantize_train(&config, &train, horizon);
-            let s = isi_error_samples(&out);
-            if s.is_empty() {
-                continue;
-            }
-            let mean = s.iter().map(|e| e.relative_error()).sum::<f64>() / s.len() as f64;
-            let sat = out.records.iter().filter(|r| r.saturated).count() as f64
-                / out.records.len() as f64;
-            table.row(vec![
-                theta.to_string(),
-                fmt_sig(rate),
-                format!("{mean:.4}"),
-                format!("{:.1}", sat * 100.0),
-            ]);
-        }
-    }
-    let _ = writeln!(md, "## Figure 6 — timestamp error vs rate\n");
-    let _ = writeln!(md, "```\n{}```\n", table.to_ascii());
-    let _ = writeln!(
-        md,
-        "Expected shape: error ≈ 1 in the saturated (inactive) region, well below\n\
-         3 % in the active region, rising again toward the Nyquist limit.\n"
-    );
-}
-
-fn fig7(md: &mut String) {
-    println!("fig7: cochlea word...");
-    let audio = aetr_cochlea::word::fig7_word(16_000, 0xF17);
-    let cochlea = aetr_cochlea::model::Cochlea::new(aetr_cochlea::model::CochleaConfig::das1())
-        .expect("valid config");
-    let train = cochlea.process(&audio);
-    let horizon = SimTime::ZERO + audio.duration();
-    let _ = writeln!(md, "## Figure 7 — cochlea word\n");
-    let _ = writeln!(md, "* {} spikes from {} of audio", train.len(), audio.duration());
-    for theta in [16u32, 32, 64] {
-        let out =
-            quantize_train(&ClockGenConfig::prototype().with_theta_div(theta), &train, horizon);
-        let s = isi_error_samples(&out);
-        let low = s.iter().filter(|e| e.relative_error() < 0.03).count() as f64 / s.len() as f64;
-        let _ = writeln!(md, "* θ={theta}: P(err < 3%) = {low:.2}");
-    }
-    let _ = writeln!(md, "\nPaper trend: increasing θ_div shifts error mass toward zero. ✔\n");
-}
-
-fn fig8(md: &mut String) {
-    println!("fig8: power sweep...");
-    let model = PowerModel::igloo_nano();
-    let power = |config: &ClockGenConfig, rate: f64, seed: u32| {
-        let (train, horizon) = lfsr_workload(rate, seed, 1_000);
-        let out = quantize_train(config, &train, horizon);
-        model.evaluate(&out.activity).total
-    };
-    let proto = ClockGenConfig::prototype();
-    let naive = proto.with_policy(DivisionPolicy::Never);
-    let mut table = Table::new(vec!["rate (evt/s)", "theta=64 (mW)", "naive (mW)", "ideal (mW)"]);
-    let ideal = IdealModel::fit_from_high_activity(
-        power(&proto, 550_000.0, 9),
-        550_000.0,
-        model.static_power,
-    );
-    for (i, &rate) in log_space(10.0, 800_000.0, 7).iter().enumerate() {
-        table.row(vec![
-            fmt_sig(rate),
-            format!("{:.3}", power(&proto, rate, 200 + i as u32).as_milliwatts()),
-            format!("{:.3}", power(&naive, rate, 300 + i as u32).as_milliwatts()),
-            format!("{:.3}", ideal.power_at(rate).as_milliwatts()),
-        ]);
-    }
-    let _ = writeln!(md, "## Figure 8 — power vs rate\n");
-    let _ = writeln!(md, "```\n{}```\n", table.to_ascii());
-    let _ = writeln!(
-        md,
-        "Expected shape: naïve flat at ≈4.4 mW; divided curve falling to the 50 µW\n\
-         floor (~90× span), tracking the ideal line at low rates. E_spike fit: {}.\n",
-        ideal.e_spike
-    );
-}
-
-fn resources(md: &mut String) {
-    println!("resources...");
-    let report = UtilizationReport::prototype();
-    let _ = writeln!(md, "## Implementation summary\n");
-    let _ = writeln!(md, "```\n{report}```\n");
-    let _ = writeln!(
-        md,
-        "Paper: 31 % utilization, ~600 equivalent gates, 30 MHz reference, 130 ns\n\
-         minimum inter-spike time.\n"
-    );
 }

@@ -1,41 +1,6 @@
 //! Implementation summary table (paper §5, first paragraph).
-//!
-//! Reproduces the reported implementation facts: resource utilization
-//! on the IGLOO nano AGLN250V2 (31 %, ~600 equivalent gates), the
-//! 30 MHz reference clock constraint, and the 130 ns minimum
-//! resolvable inter-spike time against the CAVIAR 700 ns budget.
-
-use aetr::resources::UtilizationReport;
-use aetr_aer::handshake::CAVIAR_EVENT_BUDGET;
-use aetr_bench::{banner, write_result};
-use aetr_clockgen::config::ClockGenConfig;
+//! Runs [`aetr_bench::figures::table_resources`]; the artifact goes under `results/`.
 
 fn main() {
-    banner("Implementation table", "resource utilization and timing constraints", 0);
-
-    let report = UtilizationReport::prototype();
-    println!("{report}");
-
-    let clock = ClockGenConfig::prototype();
-    println!("timing:");
-    println!("  ring oscillator:        {}", clock.ring.config_frequency());
-    println!("  reference clock:        {}", clock.reference_frequency());
-    println!("  max sampling frequency: {}", clock.base_sampling_period().to_frequency());
-    println!("  min inter-spike time:   {}  (paper: 130 ns)", clock.min_resolvable_interval());
-    println!("  CAVIAR event budget:    {CAVIAR_EVENT_BUDGET}  (paper: 700 ns)");
-    println!(
-        "  headroom:               {:.1}x",
-        CAVIAR_EVENT_BUDGET.as_secs_f64() / clock.min_resolvable_interval().as_secs_f64()
-    );
-
-    let mut csv = String::from("block,flops,luts,ram_bits\n");
-    for (b, r) in &report.per_block {
-        csv.push_str(&format!("{b},{},{},{}\n", r.flops, r.luts, r.ram_bits));
-    }
-    csv.push_str(&format!(
-        "total,{},{},{}\n",
-        report.total.flops, report.total.luts, report.total.ram_bits
-    ));
-    let path = write_result("table_resources.csv", &csv).expect("write results");
-    println!("\nCSV written to {}", path.display());
+    aetr_bench::run(aetr_bench::figures::table_resources);
 }

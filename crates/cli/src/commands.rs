@@ -8,12 +8,13 @@ use std::error::Error;
 use std::fmt::Write as _;
 use std::fs;
 
-use aetr::quantizer::{isi_error_samples, quantize_train};
+use aetr::quantizer::{isi_error_samples, quantize_train, QuantizerOutput};
 use aetr::resources::UtilizationReport;
 use aetr_aer::aedat;
 use aetr_aer::generator::{LfsrGenerator, PoissonGenerator, SpikeSource};
 use aetr_aer::spike::SpikeTrain;
-use aetr_analysis::sweep::log_space;
+use aetr_analysis::error_stats::ErrorSummary;
+use aetr_analysis::sweep::{log_space, poisson_workload};
 use aetr_analysis::table::{fmt_sig, Table};
 use aetr_clockgen::config::{ClockGenConfig, DivisionPolicy};
 use aetr_clockgen::schedule::record_waveform;
@@ -175,14 +176,17 @@ fn jobs_arg(args: &ParsedArgs) -> Result<usize, Box<dyn Error>> {
     Ok(if jobs == 0 { aetr_sim::parallel::available_jobs() } else { jobs })
 }
 
+/// Mean relative inter-spike-interval error of a quantizer run; 0 when
+/// it has fewer than two events.
+fn mean_isi_error(out: &QuantizerOutput) -> f64 {
+    let samples: Vec<(f64, bool)> =
+        isi_error_samples(out).iter().map(|s| (s.relative_error(), s.saturated)).collect();
+    ErrorSummary::of(&samples).map_or(0.0, |s| s.mean)
+}
+
 fn report_for(config: &ClockGenConfig, train: &SpikeTrain, horizon: SimTime) -> String {
     let out = quantize_train(config, train, horizon);
-    let samples = isi_error_samples(&out);
-    let mean_err = if samples.is_empty() {
-        0.0
-    } else {
-        samples.iter().map(|s| s.relative_error()).sum::<f64>() / samples.len() as f64
-    };
+    let mean_err = mean_isi_error(&out);
     let saturated = out.records.iter().filter(|r| r.saturated).count();
     let power = PowerModel::igloo_nano().evaluate(&out.activity);
 
@@ -337,13 +341,9 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     // input order, keeping the table bit-identical for any job count.
     let rates = log_space(100.0, 1e6, points);
     let rows = aetr_sim::par_map(jobs, &rates, |i, &rate| {
-        let secs = (1_000.0 / rate).max(0.1);
-        let horizon = SimTime::ZERO + SimDuration::from_secs_f64(secs);
-        let train = PoissonGenerator::new(rate, 64, 10 + i as u64).generate(horizon);
+        let (train, horizon) = poisson_workload(rate, 10 + i as u64, 1_000);
         let out = quantize_train(&config, &train, horizon);
-        let samples = isi_error_samples(&out);
-        let mean_err =
-            samples.iter().map(|s| s.relative_error()).sum::<f64>() / samples.len().max(1) as f64;
+        let mean_err = mean_isi_error(&out);
         let sat = out.records.iter().filter(|r| r.saturated).count() as f64
             / out.records.len().max(1) as f64;
         let power = model.evaluate(&out.activity).total;

@@ -6,8 +6,6 @@
 //! pattern this way) or dumped to an industry-standard VCD file via
 //! [`crate::vcd`] for viewing in GTKWave & co.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
@@ -17,42 +15,13 @@ use crate::time::SimTime;
 pub enum TraceValue {
     /// A single-bit signal (clock, REQ, ACK, SLEEP, ...).
     Bit(bool),
-    /// A multi-bit bus value (addresses, counters). The recorded width
-    /// comes from the signal declaration, not the value.
-    Vector(u64),
-    /// An analog/report quantity (e.g. instantaneous power in mW).
-    Real(f64),
 }
 
-impl fmt::Display for TraceValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceValue::Bit(b) => write!(f, "{}", u8::from(*b)),
-            TraceValue::Vector(v) => write!(f, "0x{v:x}"),
-            TraceValue::Real(r) => write!(f, "{r}"),
-        }
-    }
-}
-
-/// The declared shape of a signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SignalKind {
-    /// One bit.
-    Bit,
-    /// A bus of the given width (1..=64 bits).
-    Vector {
-        /// Bus width in bits.
-        width: u8,
-    },
-    /// A real-valued quantity.
-    Real,
-}
-
-/// Identifier of a declared signal, returned by the `declare_*` methods.
+/// Identifier of a declared signal, returned by [`Tracer::declare_bit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SignalId(usize);
 
-/// A signal declaration: name, hierarchical scope, and kind.
+/// A signal declaration: name and hierarchical scope.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SignalDecl {
     /// Signal name, e.g. `"clk_sample"`.
@@ -60,8 +29,6 @@ pub struct SignalDecl {
     /// Dot-separated hierarchical scope, e.g. `"interface.clockgen"`.
     /// Empty string means top level.
     pub scope: String,
-    /// Bit / vector / real.
-    pub kind: SignalKind,
 }
 
 /// One recorded transition.
@@ -107,27 +74,8 @@ impl Tracer {
 
     /// Declares a single-bit signal under the given scope.
     pub fn declare_bit(&mut self, name: &str, scope: &str) -> SignalId {
-        self.declare(name, scope, SignalKind::Bit)
-    }
-
-    /// Declares a bus signal of `width` bits under the given scope.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is 0 or greater than 64.
-    pub fn declare_vector(&mut self, name: &str, scope: &str, width: u8) -> SignalId {
-        assert!((1..=64).contains(&width), "vector width must be 1..=64, got {width}");
-        self.declare(name, scope, SignalKind::Vector { width })
-    }
-
-    /// Declares a real-valued signal under the given scope.
-    pub fn declare_real(&mut self, name: &str, scope: &str) -> SignalId {
-        self.declare(name, scope, SignalKind::Real)
-    }
-
-    fn declare(&mut self, name: &str, scope: &str, kind: SignalKind) -> SignalId {
         let id = SignalId(self.signals.len());
-        self.signals.push(SignalDecl { name: name.to_owned(), scope: scope.to_owned(), kind });
+        self.signals.push(SignalDecl { name: name.to_owned(), scope: scope.to_owned() });
         self.last.push(None);
         self.last_time.push(None);
         id
@@ -139,22 +87,10 @@ impl Tracer {
     ///
     /// # Panics
     ///
-    /// Panics if a recorded value's variant does not match the signal's
-    /// declared [`SignalKind`], or if `time` precedes the latest change
-    /// already recorded for this signal (trace time is monotonic).
+    /// Panics if `time` precedes the latest change already recorded
+    /// for this signal (trace time is monotonic).
     pub fn record(&mut self, time: SimTime, signal: SignalId, value: TraceValue) {
         let decl = &self.signals[signal.0];
-        let matches_kind = matches!(
-            (&decl.kind, &value),
-            (SignalKind::Bit, TraceValue::Bit(_))
-                | (SignalKind::Vector { .. }, TraceValue::Vector(_))
-                | (SignalKind::Real, TraceValue::Real(_))
-        );
-        assert!(
-            matches_kind,
-            "signal {}.{} declared {:?} but recorded {:?}",
-            decl.scope, decl.name, decl.kind, value
-        );
         if self.last[signal.0] == Some(value) {
             return;
         }
@@ -178,11 +114,6 @@ impl Tracer {
         &self.signals
     }
 
-    /// Declaration of one signal.
-    pub fn signal(&self, id: SignalId) -> &SignalDecl {
-        &self.signals[id.0]
-    }
-
     /// All recorded changes, in record order.
     pub fn changes(&self) -> &[Change] {
         &self.changes
@@ -199,10 +130,7 @@ impl Tracer {
     /// Useful to extract clock rising edges:
     /// `tracer.edges_to(clk, true)`.
     pub fn edges_to(&self, id: SignalId, level: bool) -> Vec<SimTime> {
-        self.changes_of(id)
-            .filter(|c| matches!(c.value, TraceValue::Bit(b) if b == level))
-            .map(|c| c.time)
-            .collect()
+        self.changes_of(id).filter(|c| c.value == TraceValue::Bit(level)).map(|c| c.time).collect()
     }
 
     /// Numeric index of a signal id (stable, for external tables).
@@ -219,21 +147,21 @@ mod tests {
     fn declares_and_records() {
         let mut t = Tracer::new();
         let req = t.declare_bit("req", "aer");
-        let addr = t.declare_vector("addr", "aer", 10);
+        let ack = t.declare_bit("ack", "aer");
         t.record(SimTime::from_ns(1), req, TraceValue::Bit(true));
-        t.record(SimTime::from_ns(1), addr, TraceValue::Vector(0x2a));
+        t.record(SimTime::from_ns(1), ack, TraceValue::Bit(true));
         assert_eq!(t.changes().len(), 2);
-        assert_eq!(t.signal(req).name, "req");
-        assert_eq!(t.signal(addr).kind, SignalKind::Vector { width: 10 });
+        assert_eq!(t.signals()[t.index_of(req)].name, "req");
+        assert_eq!(t.signals()[t.index_of(ack)].scope, "aer");
     }
 
     #[test]
     fn deduplicates_unchanged_values() {
         let mut t = Tracer::new();
-        let s = t.declare_real("power", "");
-        t.record(SimTime::from_ns(0), s, TraceValue::Real(1.0));
-        t.record(SimTime::from_ns(5), s, TraceValue::Real(1.0));
-        t.record(SimTime::from_ns(9), s, TraceValue::Real(2.0));
+        let s = t.declare_bit("sleep", "");
+        t.record(SimTime::from_ns(0), s, TraceValue::Bit(true));
+        t.record(SimTime::from_ns(5), s, TraceValue::Bit(true));
+        t.record(SimTime::from_ns(9), s, TraceValue::Bit(false));
         assert_eq!(t.changes().len(), 2);
     }
 
@@ -263,26 +191,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "declared")]
-    fn kind_mismatch_panics() {
-        let mut t = Tracer::new();
-        let s = t.declare_bit("clk", "");
-        t.record(SimTime::ZERO, s, TraceValue::Vector(3));
-    }
-
-    #[test]
     #[should_panic(expected = "moved backwards")]
     fn non_monotonic_record_panics() {
         let mut t = Tracer::new();
         let s = t.declare_bit("clk", "");
         t.record(SimTime::from_ns(10), s, TraceValue::Bit(true));
         t.record(SimTime::from_ns(5), s, TraceValue::Bit(false));
-    }
-
-    #[test]
-    #[should_panic(expected = "vector width")]
-    fn zero_width_vector_panics() {
-        let mut t = Tracer::new();
-        t.declare_vector("bus", "", 0);
     }
 }

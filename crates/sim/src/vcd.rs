@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-use crate::trace::{SignalKind, TraceValue, Tracer};
+use crate::trace::{TraceValue, Tracer};
 
 /// Writes `tracer`'s signals and changes as a VCD document.
 ///
@@ -57,19 +57,7 @@ pub fn write_vcd<W: Write>(tracer: &Tracer, mut out: W) -> io::Result<()> {
             writeln!(out, "$scope module {part} $end")?;
         }
         for &idx in indices {
-            let decl = &tracer.signals()[idx];
-            let code = id_code(idx);
-            match decl.kind {
-                SignalKind::Bit => {
-                    writeln!(out, "$var wire 1 {code} {} $end", decl.name)?;
-                }
-                SignalKind::Vector { width } => {
-                    writeln!(out, "$var wire {width} {code} {} [{}:0] $end", decl.name, width - 1)?;
-                }
-                SignalKind::Real => {
-                    writeln!(out, "$var real 64 {code} {} $end", decl.name)?;
-                }
-            }
+            writeln!(out, "$var wire 1 {} {} $end", id_code(idx), tracer.signals()[idx].name)?;
         }
         for _ in scope_name.split('.') {
             writeln!(out, "$upscope $end")?;
@@ -79,13 +67,8 @@ pub fn write_vcd<W: Write>(tracer: &Tracer, mut out: W) -> io::Result<()> {
 
     // Initial values: everything unknown until first change.
     writeln!(out, "$dumpvars")?;
-    for (idx, decl) in tracer.signals().iter().enumerate() {
-        let code = id_code(idx);
-        match decl.kind {
-            SignalKind::Bit => writeln!(out, "x{code}")?,
-            SignalKind::Vector { .. } => writeln!(out, "bx {code}")?,
-            SignalKind::Real => writeln!(out, "r0 {code}")?,
-        }
+    for idx in 0..tracer.signals().len() {
+        writeln!(out, "x{}", id_code(idx))?;
     }
     writeln!(out, "$end")?;
 
@@ -99,12 +82,8 @@ pub fn write_vcd<W: Write>(tracer: &Tracer, mut out: W) -> io::Result<()> {
             writeln!(out, "#{}", change.time.as_ps())?;
             current_time = Some(change.time);
         }
-        let code = id_code(tracer.index_of(change.signal));
-        match change.value {
-            TraceValue::Bit(b) => writeln!(out, "{}{code}", u8::from(b))?,
-            TraceValue::Vector(v) => writeln!(out, "b{v:b} {code}")?,
-            TraceValue::Real(r) => writeln!(out, "r{r} {code}")?,
-        }
+        let TraceValue::Bit(b) = change.value;
+        writeln!(out, "{}{}", u8::from(b), id_code(tracer.index_of(change.signal)))?;
     }
     Ok(())
 }
@@ -146,18 +125,81 @@ mod tests {
     }
 
     #[test]
+    fn empty_tracer_writes_only_the_header() {
+        assert_eq!(
+            render(&Tracer::new()),
+            "$date AETR simulation $end\n\
+             $version aetr-sim $end\n\
+             $timescale 1 ps $end\n\
+             $enddefinitions $end\n\
+             $dumpvars\n\
+             $end\n"
+        );
+    }
+
+    #[test]
     fn header_and_var_declarations() {
         let mut t = Tracer::new();
         t.declare_bit("req", "aer");
-        t.declare_vector("addr", "aer", 10);
-        t.declare_real("power_mw", "");
-        let text = render(&t);
-        assert!(text.contains("$timescale 1 ps $end"));
-        assert!(text.contains("$scope module aer $end"));
-        assert!(text.contains("$var wire 1 ! req $end"));
-        assert!(text.contains("$var wire 10 \" addr [9:0] $end"));
-        assert!(text.contains("$var real 64 # power_mw $end"));
-        assert!(text.contains("$enddefinitions $end"));
+        t.declare_bit("ack", "aer");
+        assert_eq!(
+            render(&t),
+            "$date AETR simulation $end\n\
+             $version aetr-sim $end\n\
+             $timescale 1 ps $end\n\
+             $scope module aer $end\n\
+             $var wire 1 ! req $end\n\
+             $var wire 1 \" ack $end\n\
+             $upscope $end\n\
+             $enddefinitions $end\n\
+             $dumpvars\n\
+             x!\n\
+             x\"\n\
+             $end\n"
+        );
+    }
+
+    #[test]
+    fn golden_document_for_bit_signals() {
+        let mut t = Tracer::new();
+        let req = t.declare_bit("req", "aer");
+        let clk = t.declare_bit("clk", "");
+        let ack = t.declare_bit("ack", "aer");
+        t.record(SimTime::ZERO, clk, TraceValue::Bit(false));
+        t.record(SimTime::from_ps(100), req, TraceValue::Bit(true));
+        t.record(SimTime::from_ps(100), clk, TraceValue::Bit(true));
+        t.record(SimTime::from_ps(250), ack, TraceValue::Bit(true));
+        t.record(SimTime::from_ps(250), req, TraceValue::Bit(false));
+        // Declarations are grouped by scope (the empty scope as `top`,
+        // sorted first), every signal starts unknown in `$dumpvars`, and
+        // changes sharing a time share one `#time` line, in record order.
+        assert_eq!(
+            render(&t),
+            "$date AETR simulation $end\n\
+             $version aetr-sim $end\n\
+             $timescale 1 ps $end\n\
+             $scope module top $end\n\
+             $var wire 1 \" clk $end\n\
+             $upscope $end\n\
+             $scope module aer $end\n\
+             $var wire 1 ! req $end\n\
+             $var wire 1 # ack $end\n\
+             $upscope $end\n\
+             $enddefinitions $end\n\
+             $dumpvars\n\
+             x!\n\
+             x\"\n\
+             x#\n\
+             $end\n\
+             #0\n\
+             0\"\n\
+             #100\n\
+             1!\n\
+             1\"\n\
+             #250\n\
+             1#\n\
+             0!\n"
+        );
     }
 
     #[test]
@@ -169,18 +211,20 @@ mod tests {
         t.record(SimTime::from_ps(100), b, TraceValue::Bit(true));
         t.record(SimTime::from_ps(250), a, TraceValue::Bit(false));
         let text = render(&t);
-        let pos100 = text.find("#100").unwrap();
-        let pos250 = text.find("#250").unwrap();
-        assert!(pos100 < pos250);
+        assert!(text.ends_with("$end\n#100\n1!\n1\"\n#250\n0!\n"), "{text}");
         assert_eq!(text.matches("#100").count(), 1, "shared timestamps emitted once");
     }
 
     #[test]
-    fn vector_values_render_binary() {
+    fn changes_are_sorted_by_time_across_signals() {
         let mut t = Tracer::new();
-        let bus = t.declare_vector("bus", "", 8);
-        t.record(SimTime::from_ps(1), bus, TraceValue::Vector(0b1010));
-        assert!(render(&t).contains("b1010 !"));
+        let a = t.declare_bit("a", "");
+        let b = t.declare_bit("b", "");
+        t.record(SimTime::from_ps(300), a, TraceValue::Bit(true));
+        t.record(SimTime::from_ps(200), b, TraceValue::Bit(true));
+        let text = render(&t);
+        let changes = &text[text.find("$dumpvars").unwrap()..];
+        assert!(changes.ends_with("$end\n#200\n1\"\n#300\n1!\n"), "{changes}");
     }
 
     #[test]
@@ -188,307 +232,12 @@ mod tests {
         let mut t = Tracer::new();
         t.declare_bit("clk", "interface.clockgen");
         let text = render(&t);
-        assert!(text.contains("$scope module interface $end"));
-        assert!(text.contains("$scope module clockgen $end"));
-        assert_eq!(text.matches("$upscope $end").count(), 2);
-    }
-}
-
-/// Errors parsing a VCD document.
-#[derive(Debug)]
-pub enum VcdParseError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Structural problem at a given line.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for VcdParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VcdParseError::Io(e) => write!(f, "i/o error: {e}"),
-            VcdParseError::Malformed { line, reason } => {
-                write!(f, "malformed VCD at line {line}: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for VcdParseError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            VcdParseError::Io(e) => Some(e),
-            VcdParseError::Malformed { .. } => None,
-        }
-    }
-}
-
-impl From<io::Error> for VcdParseError {
-    fn from(e: io::Error) -> Self {
-        VcdParseError::Io(e)
-    }
-}
-
-/// Parses a VCD document (the subset emitted by [`write_vcd`]: 1 ps
-/// timescale, wire/real vars, `#time` change blocks) back into a
-/// [`Tracer`]. Initial values inside the `$dumpvars … $end` prologue
-/// are skipped — unknown (`x`) bits/vectors everywhere, and *all* real
-/// inits there, because VCD has no unknown syntax for reals and the
-/// writer's `r0` markers mean "no value recorded yet", not a genuine
-/// `0.0` sample. A real `0.0` recorded at time zero lives in the
-/// change section (after `#0`) and round-trips intact.
-///
-/// # Errors
-///
-/// Returns [`VcdParseError`] on I/O failure or structural problems
-/// (undeclared identifier codes, bad value syntax, non-numeric
-/// timestamps).
-///
-/// # Examples
-///
-/// ```
-/// use aetr_sim::time::SimTime;
-/// use aetr_sim::trace::{TraceValue, Tracer};
-/// use aetr_sim::vcd::{read_vcd, write_vcd};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut tracer = Tracer::new();
-/// let clk = tracer.declare_bit("clk", "top");
-/// tracer.record(SimTime::from_ns(3), clk, TraceValue::Bit(true));
-///
-/// let mut vcd = Vec::new();
-/// write_vcd(&tracer, &mut vcd)?;
-/// let parsed = read_vcd(&vcd[..])?;
-/// assert_eq!(parsed.changes(), tracer.changes());
-/// # Ok(())
-/// # }
-/// ```
-pub fn read_vcd<R: io::Read>(reader: R) -> Result<Tracer, VcdParseError> {
-    use std::collections::HashMap;
-    use std::io::BufRead;
-
-    let mut tracer = Tracer::new();
-    let mut codes: HashMap<String, crate::trace::SignalId> = HashMap::new();
-    let mut scope_stack: Vec<String> = Vec::new();
-    let mut in_definitions = true;
-    let mut in_dumpvars = false;
-    let mut now = crate::time::SimTime::ZERO;
-
-    for (idx, line) in io::BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let line_no = idx + 1;
-        let malformed =
-            |reason: &str| VcdParseError::Malformed { line: line_no, reason: reason.to_owned() };
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        if tokens.is_empty() {
-            continue;
-        }
-        if in_definitions {
-            match tokens[0] {
-                "$scope" if tokens.len() >= 3 => scope_stack.push(tokens[2].to_owned()),
-                "$upscope" => {
-                    scope_stack.pop();
-                }
-                "$var" if tokens.len() >= 5 => {
-                    let kind = tokens[1];
-                    let width: u8 =
-                        tokens[2].parse().map_err(|_| malformed("non-numeric var width"))?;
-                    let code = tokens[3].to_owned();
-                    let name = tokens[4].to_owned();
-                    let scope = {
-                        // The writer emits a synthetic "top" scope for
-                        // the empty scope; undo that for round-trips.
-                        let joined = scope_stack.join(".");
-                        if joined == "top" {
-                            String::new()
-                        } else {
-                            joined
-                        }
-                    };
-                    let id = match (kind, width) {
-                        ("wire", 1) => tracer.declare_bit(&name, &scope),
-                        ("wire", w) => tracer.declare_vector(&name, &scope, w),
-                        ("real", _) => tracer.declare_real(&name, &scope),
-                        _ => return Err(malformed("unsupported var kind")),
-                    };
-                    codes.insert(code, id);
-                }
-                "$enddefinitions" => in_definitions = false,
-                _ => {}
-            }
-            continue;
-        }
-        // Change section (also contains $dumpvars/$end markers).
-        match tokens[0].chars().next().expect("non-empty token") {
-            '$' => match tokens[0] {
-                "$dumpvars" => in_dumpvars = true,
-                "$end" => in_dumpvars = false,
-                _ => {}
-            },
-            '#' => {
-                let t: u64 =
-                    tokens[0][1..].parse().map_err(|_| malformed("non-numeric timestamp"))?;
-                now = crate::time::SimTime::from_ps(t);
-            }
-            '0' | '1' => {
-                let (value, code) = tokens[0].split_at(1);
-                let id = *codes.get(code).ok_or_else(|| malformed("unknown bit code"))?;
-                tracer.record(now, id, TraceValue::Bit(value == "1"));
-            }
-            'x' | 'X' => {} // unknown initial value: skip
-            'b' | 'B' => {
-                if tokens.len() != 2 {
-                    return Err(malformed("vector change needs a code"));
-                }
-                let bits = &tokens[0][1..];
-                if bits.eq_ignore_ascii_case("x") {
-                    continue; // unknown initial vector
-                }
-                let v = u64::from_str_radix(bits, 2)
-                    .map_err(|_| malformed("bad binary vector value"))?;
-                let id = *codes.get(tokens[1]).ok_or_else(|| malformed("unknown code"))?;
-                tracer.record(now, id, TraceValue::Vector(v));
-            }
-            'r' | 'R' => {
-                if tokens.len() != 2 {
-                    return Err(malformed("real change needs a code"));
-                }
-                let v: f64 = tokens[0][1..].parse().map_err(|_| malformed("bad real value"))?;
-                let id = *codes.get(tokens[1]).ok_or_else(|| malformed("unknown code"))?;
-                // Reals have no unknown (`x`) syntax, so the writer's
-                // `$dumpvars` prologue uses `r0` as a "nothing recorded
-                // yet" marker; only there is it a marker — an `r0`
-                // after `#0` is a genuine 0.0 sample and is kept.
-                if in_dumpvars {
-                    continue;
-                }
-                tracer.record(now, id, TraceValue::Real(v));
-            }
-            _ => return Err(malformed("unrecognised change line")),
-        }
-    }
-    Ok(tracer)
-}
-
-#[cfg(test)]
-mod reader_tests {
-    use super::*;
-    use crate::time::SimTime;
-
-    fn roundtrip(tracer: &Tracer) -> Tracer {
-        let mut buf = Vec::new();
-        write_vcd(tracer, &mut buf).unwrap();
-        read_vcd(&buf[..]).unwrap()
-    }
-
-    /// Canonical view: per-signal-name change lists (the writer
-    /// re-groups declarations by scope, so SignalIds renumber across a
-    /// round-trip while the semantics stay identical).
-    fn canonical(t: &Tracer) -> Vec<(String, Vec<(u64, String)>)> {
-        let mut out: Vec<(String, Vec<(u64, String)>)> = t
-            .signals()
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let key = format!("{}.{}", d.scope, d.name);
-                let changes = t
-                    .changes()
-                    .iter()
-                    .filter(|c| t.index_of(c.signal) == i)
-                    .map(|c| (c.time.as_ps(), c.value.to_string()))
-                    .collect();
-                (key, changes)
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn full_roundtrip_bits_vectors_reals() {
-        let mut t = Tracer::new();
-        let clk = t.declare_bit("clk", "top.clockgen");
-        let bus = t.declare_vector("addr", "aer", 10);
-        let p = t.declare_real("power", "");
-        t.record(SimTime::from_ps(5), clk, TraceValue::Bit(true));
-        t.record(SimTime::from_ps(7), bus, TraceValue::Vector(0x2A));
-        t.record(SimTime::from_ps(9), p, TraceValue::Real(1.5));
-        t.record(SimTime::from_ps(12), clk, TraceValue::Bit(false));
-
-        let back = roundtrip(&t);
-        assert_eq!(canonical(&back), canonical(&t));
-    }
-
-    #[test]
-    fn real_zero_at_time_zero_survives_roundtrip() {
-        // Regression: the old parser treated any `r0` at t=0 as the
-        // writer's init marker and silently dropped genuine samples.
-        let mut t = Tracer::new();
-        let p = t.declare_real("power", "meter");
-        t.record(SimTime::ZERO, p, TraceValue::Real(0.0));
-        t.record(SimTime::from_ps(5), p, TraceValue::Real(2.5));
-        t.record(SimTime::from_ps(9), p, TraceValue::Real(0.0));
-        let back = roundtrip(&t);
-        assert_eq!(back.changes().len(), 3, "every recorded edge survives");
-        assert_eq!(canonical(&back), canonical(&t));
-    }
-
-    #[test]
-    fn non_finite_reals_roundtrip() {
-        let mut t = Tracer::new();
-        let r = t.declare_real("ratio", "");
-        t.record(SimTime::from_ps(1), r, TraceValue::Real(f64::NAN));
-        t.record(SimTime::from_ps(2), r, TraceValue::Real(f64::INFINITY));
-        t.record(SimTime::from_ps(3), r, TraceValue::Real(f64::NEG_INFINITY));
-        let back = roundtrip(&t);
-        assert_eq!(back.changes().len(), 3);
-        assert_eq!(canonical(&back), canonical(&t));
-    }
-
-    #[test]
-    fn recorded_edge_count_is_preserved_for_every_kind() {
-        let mut t = Tracer::new();
-        let clk = t.declare_bit("clk", "iface");
-        let bus = t.declare_vector("bus", "iface", 8);
-        let p = t.declare_real("power", "iface");
-        for i in 0..10u64 {
-            t.record(SimTime::from_ps(i * 10), clk, TraceValue::Bit(i % 2 == 0));
-            t.record(SimTime::from_ps(i * 10 + 1), bus, TraceValue::Vector(i));
-            t.record(SimTime::from_ps(i * 10 + 2), p, TraceValue::Real(i as f64 * 0.5));
-        }
-        let back = roundtrip(&t);
-        assert_eq!(back.changes().len(), t.changes().len());
-        assert_eq!(canonical(&back), canonical(&t));
-    }
-
-    #[test]
-    fn empty_tracer_roundtrips() {
-        let t = Tracer::new();
-        let back = roundtrip(&t);
-        assert!(back.signals().is_empty());
-        assert!(back.changes().is_empty());
-    }
-
-    #[test]
-    fn malformed_inputs_error_with_line_numbers() {
-        let doc = "$enddefinitions $end\n#notanumber\n";
-        let err = read_vcd(doc.as_bytes()).unwrap_err();
-        let text = err.to_string();
-        assert!(text.contains("line 2"), "{text}");
-
-        let doc2 = "$enddefinitions $end\n1?\n";
-        assert!(read_vcd(doc2.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn unknown_codes_are_rejected() {
-        let doc = "$var wire 1 ! clk $end\n$enddefinitions $end\n#5\n1\"\n";
-        let err = read_vcd(doc.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("unknown"), "{err}");
+        assert!(text.contains(
+            "$scope module interface $end\n\
+             $scope module clockgen $end\n\
+             $var wire 1 ! clk $end\n\
+             $upscope $end\n\
+             $upscope $end\n"
+        ));
     }
 }
